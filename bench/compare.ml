@@ -3,10 +3,9 @@
    Usage:  dune exec bench/compare.exe -- bench/baselines
 
    For every [BENCH_<id>.json] in the baselines directory there must be
-   a same-named fresh file in the current directory (CI runs
-   `main.exe --smoke --json $(main.exe --list --json)` first). The gate
-   auto-extends: committing a new baseline file adds it to the matrix
-   with no CI edit.
+   a same-named fresh file in the current directory (./check.sh runs
+   `main.exe --smoke --json` first). The gate auto-extends: committing
+   a new baseline file adds it to the matrix with no CI edit.
 
    Two kinds of check, both against the BASELINE's value (not an
    absolute ideal — smoke scale legitimately misses some full-scale

@@ -28,14 +28,14 @@ let hfad_case size op =
   let dev = Device.create ~block_size:4096 ~blocks:65536 () in
   let fs = Fs.format ~config:(Fs.Config.v ~cache_pages:4096 ~index_mode:Fs.Off ()) dev in
   let oid = Fs.create_exn fs ~content:(String.make size 'x') in
-  Fs.flush_exn fs;
+  Fs.sync_exn ~mode:`Checkpoint fs;
   Device.reset_stats dev;
   let _, ms =
     time_ms (fun () ->
         (match op with
         | `Insert -> Fs.insert_exn fs oid ~off:(size / 2) needle
         | `Remove -> Fs.remove_bytes_exn fs oid ~off:(size / 2) ~len:64);
-        Fs.flush_exn fs)
+        Fs.sync_exn ~mode:`Checkpoint fs)
   in
   ((Device.stats dev).Device.bytes_written, ms)
 

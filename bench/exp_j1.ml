@@ -24,17 +24,17 @@ let build ~journaled ~dirty_kb =
   let journal_pages = if journaled then 2048 else 0 in
   let fs = Fs.format ~config:(Fs.Config.v ~cache_pages:16384 ~index_mode:Fs.Off ~journal_pages ()) dev in
   let oid = Fs.create_exn fs ~content:(String.make (dirty_kb * 1024) 'i') in
-  Fs.flush_exn fs;
+  Fs.sync_exn ~mode:`Checkpoint fs;
   Device.reset_stats dev;
   Fs.write_exn fs oid ~off:0 (String.make (dirty_kb * 1024) 'j');
   (dev, fs)
 
 let checkpoint_row dirty_kb =
   let dev_p, fs_p = build ~journaled:false ~dirty_kb in
-  let _, plain_ms = time_ms (fun () -> Fs.flush_exn fs_p) in
+  let _, plain_ms = time_ms (fun () -> Fs.sync_exn ~mode:`Checkpoint fs_p) in
   let plain_writes = (Device.stats dev_p).Device.writes in
   let dev_j, fs_j = build ~journaled:true ~dirty_kb in
-  let _, jrn_ms = time_ms (fun () -> Fs.flush_exn fs_j) in
+  let _, jrn_ms = time_ms (fun () -> Fs.sync_exn ~mode:`Checkpoint fs_j) in
   let jrn_writes = (Device.stats dev_j).Device.writes in
   [
     Printf.sprintf "%d KiB" dirty_kb;
@@ -53,13 +53,13 @@ let recovery_row dirty_kb =
     Device.set_fault dev (fun op _ ->
         if op = Device.Write then incr n;
         false);
-    Fs.flush_exn fs;
+    Fs.sync_exn ~mode:`Checkpoint fs;
     Device.clear_fault dev;
     !n
   in
   let dev, fs = build ~journaled:true ~dirty_kb in
   Device.arm_crash dev ~after_writes:(total - 2) ();
-  (try Fs.flush_exn fs with Device.Io_error _ -> ());
+  (try Fs.sync_exn ~mode:`Checkpoint fs with Device.Io_error _ -> ());
   let snapshot () =
     let path = Filename.temp_file "hfad_j1" ".img" in
     Device.save dev path;

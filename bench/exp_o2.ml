@@ -9,8 +9,8 @@
    recovers the same number purely from STATS scrapes over TCP: the
    delta of [batch_ops]/[batches] between two snapshots is
    acked-per-barrier, and it must agree with the harness-side
-   [Server.stats] value (both ultimately read the same registry, so a
-   disagreement means the wire snapshot lies). A second cross-check
+   [Server.stats] value (the same snapshot read in process, so a
+   disagreement means the wire trip lies). A second cross-check
    parses the Prometheus exposition (METRICS) and compares the server's
    requests counter against the binary snapshot.
 
@@ -83,7 +83,7 @@ let build () =
          ~names:[ (Tag.Udef, key_of k) ]
          ~content:(content_of k))
   done;
-  Fs.flush_exn fs;
+  Fs.sync_exn ~mode:`Checkpoint fs;
   Device.reset_stats dev;
   (dev, fs)
 
@@ -223,9 +223,9 @@ let measure_once ~telemetry ~ops_per_conn =
         ops = conns * ops_per_conn;
         wall_ms;
         dev_ms = float_of_int dstats.Device.simulated_ns /. 1e6;
-        batches = s.Server.batches;
-        batch_ops = s.Server.batch_ops;
-        requests = s.Server.requests;
+        batches = s.Wire.Stats.batches;
+        batch_ops = s.Wire.Stats.batch_ops;
+        requests = s.Wire.Stats.requests;
         prefix;
         scraped;
       })

@@ -78,7 +78,7 @@ let build () =
          ~names:[ (Tag.Udef, key_of k) ]
          ~content:(content_of k))
   done;
-  Fs.flush_exn fs;
+  Fs.sync_exn ~mode:`Checkpoint fs;
   Device.reset_stats dev;
   (dev, fs)
 
@@ -157,10 +157,10 @@ let measure_once ~conns ~ops_per_conn ~sync_ack =
     p50_us = Workload.percentile 0.50 all;
     p99_us = Workload.percentile 0.99 all;
     p999_us = Workload.percentile 0.999 all;
-    batches = s.Server.batches;
-    batch_ops = s.Server.batch_ops;
-    busy = s.Server.busy;
-    errors = s.Server.errors;
+    batches = s.Wire.Stats.batches;
+    batch_ops = s.Wire.Stats.batch_ops;
+    busy = s.Wire.Stats.busy;
+    errors = s.Wire.Stats.errors;
   }
 
 let effective_ms m = m.wall_ms +. m.dev_ms

@@ -14,7 +14,7 @@
      durable before the call returns — the POSIX-ish fsync-per-write
      worst case;
    - group commit: the asynchronous pipeline at several
-     [batch_max_pages] thresholds, with one {!Fs.barrier} at the end.
+     [batch_max_pages] thresholds, with one {!Fs.sync} at the end.
 
    Acceptance: group commit must beat per-op checkpointing on ops/s and
    device writes/op at EVERY threshold. Commit-latency and batch-size
@@ -51,7 +51,7 @@ let build config =
         Fs.create_exn fs
           ~content:(String.make object_bytes (Char.chr (97 + i))))
   in
-  Fs.flush_exn fs;
+  Fs.sync_exn ~mode:`Checkpoint fs;
   Device.reset_stats dev;
   (dev, fs, oids)
 
@@ -116,7 +116,7 @@ let measure ~label ~ops config =
                    the barrier — real streams have inter-arrival gaps. *)
                 if i land 63 = 63 then Thread.yield ()
               done;
-              Fs.barrier_exn fs))
+              Fs.sync_exn fs))
     in
     (ms, deltas)
   in

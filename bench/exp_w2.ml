@@ -97,7 +97,7 @@ let build ~shards =
               ~names:[ (Tag.User, tenant_names.(tn)) ]
               ~content:(String.make object_bytes 'x')))
   in
-  Fs.flush_exn fs;
+  Fs.sync_exn ~mode:`Checkpoint fs;
   Device.reset_stats dev;
   (dev, fs, oids)
 
@@ -138,7 +138,7 @@ let measure ~shards ~ops_per_writer =
                   done))
         in
         List.iter Domain.join spawned;
-        Fs.barrier_exn fs)
+        Fs.sync_exn fs)
   in
   let commits =
     match Fs.pipeline_stats fs with

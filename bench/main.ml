@@ -15,38 +15,37 @@
    R1, S1 and O2 (which also exports metrics.prom, the scraped
    Prometheus exposition).
 
-   [--list] prints the experiment ids, one per line, and exits; with
-   [--json] it prints only the JSON-capable ids. CI derives the bench
-   set from this instead of hand-listing ids that then go stale.
+   [--list] prints the experiment ids, one per line, and exits.
 
    [--smoke] runs every experiment at a tiny problem size as a bit-rot
-   gate: each must complete without raising. check.sh and CI run this so
-   a bench can no longer silently break while only the test suite is
-   watched. Smoke output is NOT a measurement. *)
+   gate: each must complete without raising. check.sh runs it once with
+   [--json], so a bench can no longer silently break while only the test
+   suite is watched, and CI gates and uploads the JSON it writes. Smoke
+   output is NOT a measurement. *)
 
-(* (id, emits BENCH_<id>.json under --json, entry point) *)
+(* (id, entry point) *)
 let experiments =
   [
-    ("F1", false, Exp_f1.run);
-    ("P1", true, Exp_p1.run);
-    ("T1", false, Exp_t1.run);
-    ("T2", true, Exp_t2.run);
-    ("C1", false, Exp_c1.run);
-    ("C2", true, Exp_c2.run);
-    ("C3", false, Exp_c3.run);
-    ("C4", false, Exp_c4.run);
-    ("C5", false, Exp_c5.run);
-    ("C6", false, Exp_c6.run);
-    ("M1", false, Exp_m1.run);
-    ("A1", false, Exp_a1.run);
-    ("J1", false, Exp_j1.run);
-    ("W1", true, Exp_w1.run);
-    ("W2", true, Exp_w2.run);
-    ("O1", true, Exp_o1.run);
-    ("R1", true, Exp_r1.run);
-    ("S1", true, Exp_s1.run);
-    ("O2", true, Exp_o2.run);
-    ("micro", false, Micro.run);
+    ("F1", Exp_f1.run);
+    ("P1", Exp_p1.run);
+    ("T1", Exp_t1.run);
+    ("T2", Exp_t2.run);
+    ("C1", Exp_c1.run);
+    ("C2", Exp_c2.run);
+    ("C3", Exp_c3.run);
+    ("C4", Exp_c4.run);
+    ("C5", Exp_c5.run);
+    ("C6", Exp_c6.run);
+    ("M1", Exp_m1.run);
+    ("A1", Exp_a1.run);
+    ("J1", Exp_j1.run);
+    ("W1", Exp_w1.run);
+    ("W2", Exp_w2.run);
+    ("O1", Exp_o1.run);
+    ("R1", Exp_r1.run);
+    ("S1", Exp_s1.run);
+    ("O2", Exp_o2.run);
+    ("micro", Micro.run);
   ]
 
 let () =
@@ -57,32 +56,27 @@ let () =
   let listing, args = List.partition (String.equal "--list") args in
   let smoke, ids = List.partition (String.equal "--smoke") args in
   if listing <> [] then begin
-    List.iter
-      (fun (id, has_json, _) ->
-        if json = [] || has_json then print_endline id)
-      experiments;
+    List.iter (fun (id, _) -> print_endline id) experiments;
     exit 0
   end;
   if json <> [] then Bench_util.json_enabled := true;
   if smoke <> [] then Bench_util.smoke := true;
   let requested =
     match ids with
-    | [] -> List.map (fun (id, _, _) -> id) experiments
+    | [] -> List.map fst experiments
     | ids -> ids
   in
   Format.printf "hFAD benchmark harness (see DESIGN.md / EXPERIMENTS.md)%s@."
     (if !Bench_util.smoke then " [SMOKE — not a measurement]" else "");
   List.iter
     (fun id ->
-      match
-        List.find_opt (fun (id', _, _) -> String.equal id id') experiments
-      with
-      | Some (_, _, run) ->
+      match List.assoc_opt id experiments with
+      | Some run ->
           run ();
           if !Bench_util.smoke then Format.printf "[smoke] %s: ok@." id
       | None ->
           Format.eprintf "unknown experiment %S; known: %s@." id
-            (String.concat " " (List.map (fun (id, _, _) -> id) experiments));
+            (String.concat " " (List.map fst experiments));
           exit 2)
     requested;
   if !Bench_util.smoke then

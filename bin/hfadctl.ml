@@ -504,6 +504,11 @@ let serve image port workers sync trace_on slow_us =
         with Unix.Unix_error (Unix.EINTR, _, _) -> ()
       done;
       let stats = Server.stats server in
+      let accepted =
+        Counter.get
+          (Registry.counter Registry.global
+             (Server.metrics_prefix server ^ ".accepted"))
+      in
       Server.stop server;
       Fs.sync_exn ~mode:`Checkpoint fs;
       Device.save dev image;
@@ -511,8 +516,8 @@ let serve image port workers sync trace_on slow_us =
       say
         "served %d request(s) over %d connection(s) (%d batches, %d busy); \
          image saved"
-        stats.Server.requests stats.Server.accepted stats.Server.batches
-        stats.Server.busy)
+        stats.Wire.Stats.requests accepted stats.Wire.Stats.batches
+        stats.Wire.Stats.busy)
 
 let serve_cmd =
   let port =

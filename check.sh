@@ -6,86 +6,21 @@ cd "$(dirname "$0")"
 
 dune clean
 dune build
+
+# Every suite runs once, and alcotest names any failing case. Among
+# them: the exhaustive crash-point sweeps (failures), group-commit
+# semantics (pipeline), the disabled-probe overhead bound (trace),
+# resolution-cache invalidation (pathcache), the shards=1 byte-identity
+# property (shard), atomicity and serializability (txn), and the front
+# door's no-lost-acks and no-torn-reads cases (server).
 dune runtest
 
-# Crash-consistency gate: the exhaustive crash-point sweep (every device
-# write of a journaled checkpoint, dropped and torn variants, plus
-# crashes during recovery itself) must pass on its own, loudly, so a
-# regression here is never lost in the full-suite noise.
-dune exec test/test_main.exe -- test failures -e
-
-# Write-pipeline gate: group-commit semantics (coalescing, barrier
-# durability, sticky failure, readers racing the flusher, and the
-# pipelined==sync image-equivalence property) run loudly on their own.
-dune exec test/test_main.exe -- test pipeline -e
-
-# Trace-overhead gate: spans are compiled into every layer, so the
-# disabled path must stay one atomic load + branch. The trace suite's
-# "disabled overhead bound" case fails if a disabled probe costs ~1us,
-# which is what would make the un-traced W1 smoke regress; the rest of
-# the suite guards recording semantics (nesting, ring bounds, exporters).
-dune exec test/test_main.exe -- test trace -e
-
-# Pathcache gate: the resolution-cache suite (2Q bounds, normalization
-# properties, rename/unlink invalidation on both stacks, the sharded
-# EINVAL case, and the rename(x,x) ENOENT regression) runs loudly on
-# its own — a stale-cache bug is a correctness bug, not a perf bug.
-dune exec test/test_main.exe -- test pathcache -e
-
-# Shard gate: the router/sharded-Fs suite (oid arithmetic, the
-# shards=1 byte-identity property, cross-shard barriers under
-# concurrent writers, the metrics prefix-pool audit) runs loudly on
-# its own — the scale-out refactor must never regress silently.
-dune exec test/test_main.exe -- test shard -e
-
-# Transaction gate: the multi-object txn/snapshot suite (commit
-# visibility, validation and apply-time rollback, cross-shard
-# rejection, snapshot read stability under later mutation, and the
-# 3-domain serializability property replaying the commit log serially)
-# runs loudly on its own — an atomicity bug must never hide in
-# full-suite noise.
-dune exec test/test_main.exe -- test txn -e
-
-# Server gate: the front-door suite (wire roundtrip properties,
-# malformed/truncated-frame rejection without wedging the worker,
-# BUSY backpressure, the 4-domain many-client stress test asserting no
-# lost acks, the metrics prefix-pool audit) runs loudly on its own —
-# a network-facing regression must never hide in full-suite noise.
-dune exec test/test_main.exe -- test server -e
-
-# Bench bit-rot gate: every experiment at tiny N, asserting each runs to
-# completion. Numbers printed under --smoke are not measurements. O1
-# additionally asserts, on every run, that the hierarchical lookup
-# crosses >= 4 index structures and the native path strictly fewer.
-dune exec bench/main.exe -- --smoke
-
-# Scale-out smoke gate: W2 drives the multi-tenant write storm across
-# shard counts on its own, so a router or scatter-gather regression
-# fails this line and not just the (noisier) full smoke above.
-dune exec bench/main.exe -- --smoke W2
-
-# Resolution-cache smoke gate: R1 asserts on every run that at depth >=8
-# the warm hierarchical resolve costs <= 2x the native descent count,
-# the cold walk costs >= 5x, and the native tag path still wins cold.
-dune exec bench/main.exe -- --smoke R1
-
-# Front-door smoke gate: S1 asserts on every run that effective
-# throughput is monotone non-decreasing from 1 to 8 connections and
-# that the batched group-commit server beats sync-per-request acks.
-dune exec bench/main.exe -- --smoke S1
-
-# Transaction smoke gate: T2 asserts on every run that grouping k ops
-# into one Fs.with_txn beats op-at-a-time under sync_writes — the
-# single-durability-point claim behind the txn API, checked every run.
-dune exec bench/main.exe -- --smoke T2
-
-# Observability smoke gate: O2 asserts on every run that the avg batch
-# re-derived from remote STATS scrapes matches the harness value within
-# 5%, that the Prometheus exposition agrees with the binary snapshot,
-# that the TRACE scrape captures server spans, and that full telemetry
-# (tracing + slow log + a live polling observer) costs <= 5% of
-# effective throughput.
-dune exec bench/main.exe -- --smoke O2
+# Bench bit-rot gate: every experiment once at tiny N; numbers printed
+# under --smoke are not measurements. W2, R1, S1, T2, O1 and O2 assert
+# their acceptance shape on every run. --json writes BENCH_<id>.json
+# for the JSON-capable experiments, which bench/compare.exe gates
+# against bench/baselines/ and CI uploads.
+dune exec bench/main.exe -- --smoke --json
 
 # Documentation gate: every .mli doc comment must keep compiling to
 # HTML. Skipped (with a warning) where odoc isn't installed; CI

@@ -34,7 +34,7 @@ let () =
   (* Checkpoint 1. *)
   P.mkdir_p_exn posix "/ledger";
   ignore (P.create_file_exn ~content:"balance: 100" posix "/ledger/account");
-  Fs.flush_exn fs;
+  Fs.sync_exn ~mode:`Checkpoint fs;
   say "checkpoint 1: /ledger/account = %S" (P.read_file posix "/ledger/account");
 
   (* Mutate toward checkpoint 2: several related changes that must land
@@ -54,7 +54,7 @@ let () =
           !home_writes > 2));
   (* The device error surfaces as a typed [Fs.error], not an exception:
      fallible entry points all have result form. *)
-  (match Fs.flush fs with
+  (match Fs.sync ~mode:`Checkpoint fs with
   | Ok () -> say "flush unexpectedly succeeded"
   | Error e -> say "CRASH during checkpoint: %s" (Fs.error_message e));
   Device.clear_fault dev;
@@ -89,7 +89,7 @@ let () =
   let dev2 = Fs.device fs2 in
   Device.arm_crash dev2 ~after_writes:0
     ~torn_bytes:(Device.block_size dev2 / 2) ();
-  (match Fs.flush fs2 with
+  (match Fs.sync ~mode:`Checkpoint fs2 with
   | Ok () -> say "flush unexpectedly succeeded"
   | Error e ->
       say "";

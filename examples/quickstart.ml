@@ -72,7 +72,7 @@ let () =
   (match Fs.append fs oid "\n(Do not lose this.)" with
   | Ok () -> say "append acknowledged (durable only after a barrier)"
   | Error e -> say "append failed: %s" (Fs.error_message e));
-  (match Fs.barrier fs with
+  (match Fs.sync fs with
   | Ok () -> say "barrier: every acknowledged mutation is now durable"
   | Error e -> say "barrier failed: %s" (Fs.error_message e));
   (match Fs.pipeline_stats fs with
@@ -105,7 +105,7 @@ let () =
   (* 9. Everything persists: drain the pipeline, flush, reopen, search
      again. [stop_pipeline] commits whatever is still batched. *)
   Fs.stop_pipeline fs;
-  Fs.flush_exn fs;
+  Fs.sync_exn ~mode:`Checkpoint fs;
   let fs2 = Fs.open_existing_exn dev in
   show "after reopen, full-text still works"
     (List.map fst (Fs.search fs2 "burial overdue"));

@@ -223,9 +223,8 @@ type t = {
    its exclusive side. Shards never take each other's locks, so writers
    on different shards run truly in parallel — the single-writer ceiling
    of the unsharded stack becomes per-shard. The only multi-shard
-   operations (flush, barrier, scatter queries) visit shards one at a
-   time and never hold two locks at once, so there is no lock-order
-   cycle. *)
+   operations (sync, scatter queries) visit shards one at a time and
+   never hold two locks at once, so there is no lock-order cycle. *)
 
 let nshards t = Array.length t.shards
 let shard0 t = t.shards.(0)
@@ -477,7 +476,6 @@ let reindex_sh config sh l =
       Index_store.index_text ~lazily:false sh.s_index l
         (Osd.read_all sh.s_osd l)
 
-let reindex t oid = routed t oid (fun sh l -> reindex_sh t.config sh l)
 let drain_shard_index sh = Lazy_indexer.drain_all (Index_store.indexer sh.s_index)
 
 let drain_index t =
@@ -496,8 +494,7 @@ let index_backlog t =
    mutated so far — queued content indexing included — becomes durable
    in a single journaled checkpoint. Shards are independent durability
    domains: each has its own journal and its own daemon, and a global
-   flush/barrier is simply every shard reaching its own durability
-   point. *)
+   sync is simply every shard reaching its own durability point. *)
 let group_commit_shard sh =
   shard_exclusive sh (fun () ->
       drain_shard_index sh;
@@ -512,14 +509,10 @@ let publish_shard_gauges sh =
       Counter.set m.m_commits st.Flusher.commits
   | _ -> ()
 
-let group_commit_exn t = Array.iter group_commit_shard t.shards
-let flush_exn t = group_commit_exn t
-let flush t = Osd.guard (fun () -> group_commit_exn t)
-
 (* Called at the tail of every mutation, still inside the owning shard's
    exclusive section. Pipelined: acknowledge into that shard's daemon
    batch. [sync_writes]: checkpoint the shard before the mutation even
-   returns. Neither: durability waits for an explicit flush/barrier. *)
+   returns. Neither: durability waits for an explicit sync. *)
 let note_write t sh =
   match sh.s_flusher with
   | Some fl when Flusher.running fl -> Flusher.note_mutation fl
@@ -733,28 +726,24 @@ let barrier_shard sh =
   | Some fl when Flusher.running fl -> Flusher.barrier fl
   | _ -> Osd.guard (fun () -> group_commit_shard sh)
 
-(* The global durability point: every shard durable. Visits shards in
-   order, reports the first failure but still barriers the rest — one
-   sick shard must not leave the others' acknowledged writes hanging. *)
-let barrier t =
-  let r =
-    Array.fold_left
-      (fun acc sh ->
-        match barrier_shard sh with
-        | Ok () -> acc
-        | Error _ as e -> ( match acc with Ok () -> e | _ -> acc))
-      (Ok ()) t.shards
-  in
-  Array.iter publish_shard_gauges t.shards;
-  r
-
-let barrier_exn t =
-  match barrier t with Ok () -> () | Error e -> Osd.raise_error e
-
-(* The one durability entry point; {!flush} and {!barrier} remain as
-   (deprecated) aliases for its two modes. *)
+(* The one durability entry point. A barrier makes every shard durable:
+   it visits shards in order, reports the first failure but still
+   barriers the rest — one sick shard must not leave the others'
+   acknowledged writes hanging. *)
 let sync ?(mode = `Barrier) t =
-  match mode with `Barrier -> barrier t | `Checkpoint -> flush t
+  match mode with
+  | `Checkpoint -> Osd.guard (fun () -> Array.iter group_commit_shard t.shards)
+  | `Barrier ->
+      let r =
+        Array.fold_left
+          (fun acc sh ->
+            match barrier_shard sh with
+            | Ok () -> acc
+            | Error _ as e -> ( match acc with Ok () -> e | _ -> acc))
+          (Ok ()) t.shards
+      in
+      Array.iter publish_shard_gauges t.shards;
+      r
 
 let sync_exn ?(mode = `Barrier) t =
   match sync ~mode t with Ok () -> () | Error e -> Osd.raise_error e

@@ -22,12 +22,12 @@
 
     {b Durability model.} Mutations update the in-memory stack and
     return; they become durable at a {e durability point} — an explicit
-    {!flush}/{!barrier}, or automatically once the asynchronous write
-    pipeline is running ({!start_pipeline}): a background daemon
-    coalesces acknowledged mutations and issues one journaled group
-    commit per batch, amortizing the journal's fixed cost over many
-    logical operations. {!barrier} is the pipeline's fsync: it returns
-    only once every previously acknowledged mutation is journaled.
+    {!sync}, or automatically once the asynchronous write pipeline is
+    running ({!start_pipeline}): a background daemon coalesces
+    acknowledged mutations and issues one journaled group commit per
+    batch, amortizing the journal's fixed cost over many logical
+    operations. {!sync} is the pipeline's fsync: it returns only once
+    every previously acknowledged mutation is journaled.
     [Config.sync_writes = true] instead checkpoints after {e every}
     mutation — per-op durability, the baseline bench W1 measures the
     pipeline against.
@@ -65,7 +65,7 @@
     pins them and scatter-gather otherwise (results are pure merges —
     objects live on exactly one shard). New objects place by hashing the
     {!Config.placement_tag} value when present (tenant affinity; a hint,
-    never a correctness assumption), else round-robin. {!barrier} is
+    never a correctness assumption), else round-robin. {!sync} is
     global: it returns only when {e every} shard is durable. With
     [shards = 1] (the default) the router vanishes and the on-disk image
     is byte-identical to the unsharded format; {!open_existing}
@@ -284,24 +284,12 @@ val sync : ?mode:[ `Barrier | `Checkpoint ] -> t -> (unit, error) result
 
 val sync_exn : ?mode:[ `Barrier | `Checkpoint ] -> t -> unit
 
-val flush : t -> (unit, error) result
-(** @deprecated Alias for [sync ~mode:`Checkpoint]. *)
-
-val flush_exn : t -> unit
-(** @deprecated Alias for [sync_exn ~mode:`Checkpoint]. *)
-
-val barrier : t -> (unit, error) result
-(** @deprecated Alias for [sync ~mode:`Barrier]. *)
-
-val barrier_exn : t -> unit
-(** @deprecated Alias for [sync_exn ~mode:`Barrier]. *)
-
 val start_pipeline : t -> unit
 (** Start the asynchronous group-commit daemon. From here until
     {!stop_pipeline}, mutations are acknowledged into an in-memory batch
     and made durable in the background — when the dirty set reaches
     [batch_max_pages], when the oldest acknowledged mutation is
-    [batch_max_age] old, or at a {!barrier}, whichever is first. Each
+    [batch_max_age] old, or at a {!sync}, whichever is first. Each
     group commit also drains the lazy indexer, so no separate indexer
     thread is needed. No-op if already running or if
     [config.sync_writes] is set (the two modes are exclusive). *)
@@ -546,9 +534,6 @@ val extent_count : t -> Hfad_osd.Oid.t -> int
 (** Extents backing the object, on whichever shard owns it. *)
 
 (** {1 Content indexing} *)
-
-val reindex : t -> Hfad_osd.Oid.t -> unit
-(** Queue (or, under [Eager], apply) re-indexing of current content. *)
 
 val drain_index : t -> unit
 (** Apply every queued indexing operation now. *)

@@ -4,11 +4,12 @@
    nonblocking fds multiplexed with select. The load-bearing decision
    is in the worker loop: mutations are ACKNOWLEDGED into the write
    pipeline as they arrive but their replies are parked, and one
-   [Fs.barrier] at the end of the iteration releases every parked reply
-   at once — the group commit's fixed cost is paid per batch, not per
-   request. Everything else (bounded inflight -> BUSY, poisoned frame
-   -> ERR + close) exists so a slow or hostile client costs the server
-   a constant amount of memory. *)
+   [Fs.sync] at the end of the iteration releases every parked reply at
+   once — the group commit's fixed cost is paid per batch, not per
+   request. Every mutating verb runs as a plan through [Fs.with_txn],
+   so no reader sees half of one. Everything else (bounded inflight ->
+   BUSY, poisoned frame -> ERR + close) exists so a slow or hostile
+   client costs the server a constant amount of memory. *)
 
 module Fs = Hfad.Fs
 module Tag = Hfad_index.Tag
@@ -101,8 +102,9 @@ type conn = {
   fd : Unix.file_descr;
   cid : int;
   stream : Wire.request Wire.Stream.t;
-  out : Buffer.t;  (* out[out_off ..] is pending output *)
-  mutable out_off : int;
+  out : Buffer.t;  (* replies not yet moved to [sending] *)
+  mutable sending : string;  (* sending[sent ..] is being written *)
+  mutable sent : int;
   mutable inflight : int;
   mutable alive : bool;
   mutable draining : bool;
@@ -136,18 +138,6 @@ type t = {
   mutable stopped : bool;
 }
 
-type stats = {
-  accepted : int;
-  connections : int;
-  requests : int;
-  busy : int;
-  batches : int;
-  batch_ops : int;
-  errors : int;
-  bytes_in : int;
-  bytes_out : int;
-}
-
 (* --- small plumbing ----------------------------------------------- *)
 
 let wake w =
@@ -175,32 +165,36 @@ let close_conn t c =
     try Unix.close c.fd with Unix.Unix_error _ -> ()
   end
 
+let has_output c = c.sent < String.length c.sending || Buffer.length c.out > 0
+
 (* Push buffered output; EAGAIN leaves the rest for the next select
-   round, a dead peer closes the connection. *)
+   round, a dead peer closes the connection. Replies move from [out] to
+   [sending] only once [sending] is drained, and partial writes advance
+   [sent] across calls, so each byte is copied once however slowly the
+   peer reads (a 16 MiB TRACE reply stays linear). *)
 let flush_out t c =
-  if c.alive then begin
-    let continue = ref true in
-    while !continue && c.out_off < Buffer.length c.out do
-      let pending = Buffer.length c.out - c.out_off in
-      match
-        Unix.write_substring c.fd (Buffer.contents c.out) c.out_off pending
-      with
-      | 0 -> continue := false
-      | n ->
-          c.out_off <- c.out_off + n;
-          Counter.add t.c.bytes_out n
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-          continue := false
-      | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
-          close_conn t c;
-          continue := false
-    done;
-    if c.alive && c.out_off = Buffer.length c.out then begin
-      Buffer.clear c.out;
-      c.out_off <- 0;
-      if c.draining then close_conn t c
-    end
-  end
+  let continue = ref true in
+  while !continue && c.alive && has_output c do
+    if c.sent = String.length c.sending then begin
+      c.sending <- Buffer.contents c.out;
+      c.sent <- 0;
+      (* Back to the initial storage, so a big reply is held once. *)
+      Buffer.reset c.out
+    end;
+    match
+      Unix.write_substring c.fd c.sending c.sent
+        (String.length c.sending - c.sent)
+    with
+    | 0 -> continue := false
+    | n ->
+        c.sent <- c.sent + n;
+        Counter.add t.c.bytes_out n
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+        continue := false
+    | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
+        close_conn t c
+  done;
+  if c.alive && c.draining && not (has_output c) then close_conn t c
 
 let respond t c ~id resp =
   if c.alive then begin
@@ -219,17 +213,26 @@ let err_of t e = Counter.incr t.c.errors; Wire.Err (Fs.error_message e)
 
 let err_msg t msg = Counter.incr t.c.errors; Wire.Err msg
 
-(* A MULTI step named a key with no object behind it: the whole plan
+(* A plan step named a key with no object behind it: the request
    answers NOT_FOUND, nothing applied (raising aborts the txn). *)
-exception Multi_not_found
+exception No_such_key
 
-(* Stage one decoded MULTI step into the transaction. Returns the OID a
-   Tput touched (the reply lists them in plan order).
+(* A plan step's tag did not parse: the request answers ERR with the
+   parser's message, nothing applied. *)
+exception Bad_tag of string
+
+let parse_tag tag =
+  try Tag.of_string tag with Invalid_argument msg -> raise (Bad_tag msg)
+
+(* Stage one plan step into the transaction. Returns the OID a Tput
+   touched (the reply lists them in plan order).
 
    Staging reads live state, but earlier steps of the same plan are not
    live yet, so [staged] overlays the plan's own key bindings: [Some oid]
    for a key the plan created or renamed-to, [None] for one it deleted or
-   renamed away. Later steps therefore see earlier steps' effects. *)
+   renamed away. Later steps therefore see earlier steps' effects. The
+   key is resolved before the tag is parsed, so a missing key answers
+   NOT_FOUND whatever its tag. *)
 let stage_txn_op t tx staged op =
   let lookup key =
     match Hashtbl.find_opt staged key with
@@ -238,7 +241,7 @@ let stage_txn_op t tx staged op =
   in
   let found key = match lookup key with
     | Some oid -> oid
-    | None -> raise Multi_not_found
+    | None -> raise No_such_key
   in
   match op with
   | Wire.Tput { key; data } -> (
@@ -256,10 +259,12 @@ let stage_txn_op t tx staged op =
       Hashtbl.replace staged key None;
       None
   | Wire.Ttag { key; tag; value } ->
-      Fs.Txn.name tx (found key) (Tag.of_string tag) value;
+      let oid = found key in
+      Fs.Txn.name tx oid (parse_tag tag) value;
       None
   | Wire.Tuntag { key; tag; value } ->
-      Fs.Txn.unname tx (found key) (Tag.of_string tag) value;
+      let oid = found key in
+      Fs.Txn.unname tx oid (parse_tag tag) value;
       None
   | Wire.Trename { from_; to_ } ->
       let oid = found from_ in
@@ -288,7 +293,9 @@ let record_slow t ~cid ~op ~dur_us ~trace =
   Queue.add line t.slow;
   Mutex.unlock t.slow_mu
 
-let build_stats t : Wire.Stats.t =
+(* The one stats snapshot: the STATS verb sends it, [Server.stats]
+   returns it in process. *)
+let stats t : Wire.Stats.t =
   let g c = Counter.get c in
   (* Registry counters are create-or-get, so reading a gauge another
      library owns (flusher, trace) needs no new plumbing. *)
@@ -349,10 +356,26 @@ let build_stats t : Wire.Stats.t =
   }
 
 (* Reads reply now; mutations reply [`Defer resp] — the response to
-   send once a barrier covers the acknowledged mutation. *)
+   send once a barrier covers the acknowledged mutation.
+
+   Every mutating verb is a plan for the one [Fs.with_txn] below: PUT,
+   DELETE and TAG are one-step plans, MULTI is many. The whole plan
+   applies under one exclusive section (no reader sees a prefix of it)
+   and seals in one journal commit; [reply] turns the OIDs its Tput
+   steps touched into the verb's answer. *)
 let rec execute t (req : Wire.request) :
     [ `Reply of Wire.response | `Defer of Wire.response ] =
   let lookup key = Fs.lookup_one t.fs [ key_name key ] in
+  let commit ops reply =
+    match
+      Fs.with_txn t.fs (fun tx ->
+          let staged = Hashtbl.create 8 in
+          List.map (stage_txn_op t tx staged) ops)
+    with
+    | Ok touched ->
+        `Defer (reply (List.filter_map (Option.map Oid.to_int64) touched))
+    | Error e -> `Reply (err_of t e)
+  in
   try
     match req with
     | Wire.Ping -> `Reply Wire.Ok_unit
@@ -377,60 +400,19 @@ let rec execute t (req : Wire.request) :
                    oid = Oid.to_int64 oid;
                    size = Int64.of_int (Fs.size t.fs oid);
                  }))
-    | Wire.Put { key; data } -> (
-        match lookup key with
-        | Some oid -> (
-            match
-              Result.bind (Fs.truncate t.fs oid 0) (fun () ->
-                  if data = "" then Ok () else Fs.write t.fs oid ~off:0 data)
-            with
-            | Ok () ->
-                Fs.reindex t.fs oid;
-                `Defer (Wire.Ok_oid (Oid.to_int64 oid))
-            | Error e -> `Reply (err_of t e))
-        | None -> (
-            match Fs.create t.fs ~names:[ key_name key ] ~content:data with
-            | Ok oid -> `Defer (Wire.Ok_oid (Oid.to_int64 oid))
-            | Error e -> `Reply (err_of t e)))
-    | Wire.Delete { key } -> (
-        match lookup key with
-        | None -> `Reply Wire.Not_found
-        | Some oid -> (
-            match Fs.delete t.fs oid with
-            | Ok () -> `Defer Wire.Ok_unit
-            | Error e -> `Reply (err_of t e)))
-    | Wire.Tag { key; tag; value } -> (
-        match lookup key with
-        | None -> `Reply Wire.Not_found
-        | Some oid -> (
-            match Tag.of_string tag with
-            | exception Invalid_argument msg -> `Reply (err_msg t msg)
-            | tag -> (
-                match Fs.name t.fs oid tag value with
-                | Ok () -> `Defer Wire.Ok_unit
-                | Error e -> `Reply (err_of t e)
-                | exception Hfad_index.Index_store.Unsupported_tag tag ->
-                    `Reply
-                      (err_msg t
-                         (Format.asprintf "tag %a is not assignable" Tag.pp tag)))))
+    | Wire.Put { key; data } ->
+        commit [ Wire.Tput { key; data } ] (fun oids ->
+            Wire.Ok_oid (List.hd oids))
+    | Wire.Delete { key } ->
+        commit [ Wire.Tdelete { key } ] (fun _ -> Wire.Ok_unit)
+    | Wire.Tag { key; tag; value } ->
+        commit [ Wire.Ttag { key; tag; value } ] (fun _ -> Wire.Ok_unit)
+    | Wire.Multi { ops } -> commit ops (fun oids -> Wire.Ok_oids oids)
     | Wire.Flush ->
         (* No mutation of its own: the reply just rides the next
            barrier, which is exactly the fsync the client asked for. *)
         `Defer Wire.Ok_unit
-    | Wire.Multi { ops } -> (
-        (* The whole plan commits as one Fs transaction: all-or-nothing
-           on disk AND against concurrent requests; the ack rides the
-           next group commit like any other mutation. *)
-        match
-          Fs.with_txn t.fs (fun tx ->
-              let staged = Hashtbl.create 8 in
-              List.map (stage_txn_op t tx staged) ops)
-        with
-        | Ok touched ->
-            `Defer
-              (Wire.Ok_oids (List.filter_map (Option.map Oid.to_int64) touched))
-        | Error e -> `Reply (err_of t e))
-    | Wire.Stats -> `Reply (Wire.Ok_stats (build_stats t))
+    | Wire.Stats -> `Reply (Wire.Ok_stats (stats t))
     | Wire.Metrics ->
         (* The whole process, not just this server: shard<i>.*, pager,
            journal, flusher and trace families all ride along. *)
@@ -448,7 +430,11 @@ let rec execute t (req : Wire.request) :
            the span); executing the inner request keeps [execute] total. *)
         execute t req
   with
-  | Hfad_osd.Osd.No_such_object _ | Multi_not_found -> `Reply Wire.Not_found
+  | Hfad_osd.Osd.No_such_object _ | No_such_key -> `Reply Wire.Not_found
+  | Bad_tag msg -> `Reply (err_msg t msg)
+  | Hfad_index.Index_store.Unsupported_tag tag ->
+      `Reply
+        (err_msg t (Format.asprintf "tag %a is not assignable" Tag.pp tag))
   | exn -> `Reply (err_msg t (Printexc.to_string exn))
 
 (* Release one batch: a single barrier acks every parked reply. *)
@@ -485,7 +471,7 @@ let handle_frames t ~pending c =
           respond t c ~id:(Option.value ~default:0 id)
             (err_msg t ("malformed frame: " ^ reason));
           c.draining <- true;
-          if Buffer.length c.out = c.out_off then close_conn t c
+          if not (has_output c) then close_conn t c
       | Wire.Stream.Frame (id, req) ->
           (if c.inflight >= t.config.max_inflight then begin
              Counter.incr t.c.busy;
@@ -532,19 +518,10 @@ let handle_frames t ~pending c =
                  respond t c ~id resp;
                  finish_request t c
              | `Defer resp ->
-                 if t.config.sync_ack then begin
-                   (* Per-request durability: the baseline configuration
-                      S1 measures group commit against. *)
-                   let final =
-                     match Fs.sync t.fs with
-                     | Ok () -> resp
-                     | Error e -> err_of t e
-                   in
-                   Counter.incr t.c.batches;
-                   Counter.add t.c.batch_ops 1;
-                   respond t c ~id final;
-                   finish_request t c
-                 end
+                 (* [sync_ack] is per-request durability, a batch of one:
+                    the baseline configuration S1 measures group commit
+                    against. *)
+                 if t.config.sync_ack then release_batch t [ (c, id, resp) ]
                  else pending := (c, id, resp) :: !pending
            end);
           go ()
@@ -582,7 +559,8 @@ let adopt w =
           cid = (w.widx lsl 20) lor (List.length w.conns);
           stream = Wire.Stream.requests ();
           out = Buffer.create 512;
-          out_off = 0;
+          sending = "";
+          sent = 0;
           inflight = 0;
           alive = true;
           draining = false;
@@ -605,7 +583,7 @@ let worker_loop t w =
     in
     let write_fds =
       List.filter_map
-        (fun c -> if Buffer.length c.out > c.out_off then Some c.fd else None)
+        (fun c -> if has_output c then Some c.fd else None)
         live
     in
     match Unix.select read_fds write_fds [] 0.1 with
@@ -632,10 +610,7 @@ let worker_loop t w =
           pending := [];
           List.iter
             (fun c ->
-              if
-                List.memq c.fd writable
-                || Buffer.length c.out > c.out_off
-              then flush_out t c)
+              if List.memq c.fd writable || has_output c then flush_out t c)
             w.conns
         end
   done;
@@ -786,17 +761,3 @@ let stop t =
       t.workers;
     Prefix_pool.release t.prefix
   end
-
-let stats t : stats =
-  let g c = Counter.get c in
-  {
-    accepted = g t.c.accepted;
-    connections = g t.c.connections;
-    requests = g t.c.requests;
-    busy = g t.c.busy;
-    batches = g t.c.batches;
-    batch_ops = g t.c.batch_ops;
-    errors = g t.c.errors;
-    bytes_in = g t.c.bytes_in;
-    bytes_out = g t.c.bytes_out;
-  }

@@ -8,10 +8,11 @@
 
     + drain every readable connection, decoding complete frames;
     + answer reads ([Ping]/[Get]/[Search]/[Stat]) immediately;
-    + apply mutations ([Put]/[Delete]/[Tag]) to the [Fs] — each is
-      {e acknowledged} into the write pipeline but its reply is held
-      back;
-    + issue {b one} {!Hfad.Fs.barrier} for the whole iteration and only
+    + apply mutations ([Put]/[Delete]/[Tag]/[Multi]) to the [Fs], each
+      as one {!Hfad.Fs.with_txn} plan, so no reader sees half of one —
+      each is {e acknowledged} into the write pipeline but its reply is
+      held back;
+    + issue {b one} {!Hfad.Fs.sync} for the whole iteration and only
       then release every held reply — one group commit acks the batch,
       so the journal's fixed cost is paid once per batch, not once per
       request. ([Config.sync_ack] instead barriers after every mutation
@@ -82,18 +83,13 @@ val stop : t -> unit
 
 (** {1 Statistics} *)
 
-type stats = {
-  accepted : int;  (** connections ever accepted *)
-  connections : int;  (** currently open *)
-  requests : int;  (** well-formed frames executed (BUSY excluded) *)
-  busy : int;  (** frames refused with [Busy] *)
-  batches : int;  (** group-commit barriers issued for batched acks *)
-  batch_ops : int;  (** mutation acks released by those barriers *)
-  errors : int;  (** [Err] replies (storage errors + malformed frames) *)
-  bytes_in : int;
-  bytes_out : int;
-}
+val stats : t -> Wire.Stats.t
+(** The snapshot the [Stats] verb sends, read in process. [requests]
+    counts well-formed frames executed (BUSY excluded), [batches] the
+    group-commit barriers issued for deferred acks and [batch_ops] the
+    acks they released. *)
 
-val stats : t -> stats
 val metrics_prefix : t -> string
-(** The pooled [server<N>] prefix this instance publishes under. *)
+(** The pooled [server<N>] prefix this instance publishes under; read
+    counters the snapshot omits, such as [<prefix>.accepted], from the
+    global registry under it. *)

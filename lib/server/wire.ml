@@ -88,11 +88,6 @@ type response =
   | Busy
   | Err of string
 
-let rec mutates = function
-  | Put _ | Delete _ | Tag _ | Flush | Multi _ -> true
-  | Ping | Get _ | Search _ | Stat _ | Stats | Metrics | Trace_dump -> false
-  | Traced { req; _ } -> mutates req
-
 let equal_request (a : request) (b : request) = a = b
 let equal_response (a : response) (b : response) = a = b
 

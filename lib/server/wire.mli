@@ -111,7 +111,13 @@ type txn_op =
 type request =
   | Ping
   | Put of { key : string; data : string }
-      (** create-or-replace the object named [UDEF/key] *)
+      (** create-or-replace the object named [UDEF/key], atomically: it
+          runs as a one-step [Multi] plan, so no reader sees a partly
+          replaced value. On a journaled server a crash keeps the old
+          value or the new one, and the value is bounded by one journal
+          commit: a PUT too large to seal in one answers [Err]
+          ([Txn_invalid]) and leaves the old value in place. [Delete]
+          and [Tag] are one-step plans too. *)
   | Get of { key : string }
   | Delete of { key : string }
   | Tag of { key : string; tag : string; value : string }
@@ -157,12 +163,6 @@ type response =
       (** backpressure: the connection exceeded its inflight budget; the
           request was {e not} executed — retry after draining replies *)
   | Err of string  (** failed (storage error, malformed frame, bad tag) *)
-
-val mutates : request -> bool
-(** Whether the request's ack must wait for a durability point ([Put],
-    [Delete], [Tag], [Flush], [Multi]); [Traced] defers to its inner
-    request. Observability verbs never wait — a stats scrape must not
-    stall behind the commit it is trying to observe. *)
 
 val pp_txn_op : Format.formatter -> txn_op -> unit
 val pp_request : Format.formatter -> request -> unit

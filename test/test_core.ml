@@ -136,7 +136,7 @@ let test_survives_reopen () =
   let oid =
     Fs.create_exn fs ~names:[ (Tag.User, "nick") ] ~content:"durable native state"
   in
-  Fs.flush_exn fs;
+  Fs.sync_exn ~mode:`Checkpoint fs;
   let fs2 = Fs.open_existing_exn ~config:(Fs.Config.v ~cache_pages:256 ~index_mode:Fs.Eager ()) dev in
   check (Alcotest.list oid_t) "names survive" [ oid ]
     (Fs.lookup fs2 [ (Tag.User, "nick") ]);

@@ -54,7 +54,7 @@ let test_checksummed_fs_end_to_end () =
   let fs = Fs.format ~config:(Fs.Config.v ~index_mode:Fs.Eager ()) dev in
   let oid = Fs.create_exn fs ~content:(String.make 50_000 'z') in
   check Alcotest.int "size" 50_000 (Fs.size fs oid);
-  Fs.flush_exn fs;
+  Fs.sync_exn ~mode:`Checkpoint fs;
   (* Find a materialized data block (beyond the metadata region) and rot it. *)
   let target = ref (-1) in
   (try
@@ -93,7 +93,7 @@ let test_image_roundtrip () =
       ignore (P.create_file_exn ~content:"persisted across processes" posix "/docs/a");
       let oid = P.resolve posix "/docs/a" in
       Fs.name_exn fs oid Tag.Udef "important";
-      Fs.flush_exn fs;
+      Fs.sync_exn ~mode:`Checkpoint fs;
       Device.save dev path;
       (* Fresh process simulation: load image, reopen, verify all state. *)
       let dev2 = Device.load path in
@@ -159,7 +159,7 @@ let test_read_fault_propagates_through_fs () =
   let dev = Device.create ~block_size:1024 ~blocks:4096 () in
   let fs = Fs.format ~config:(Fs.Config.v ~cache_pages:16 ~index_mode:Fs.Off ()) dev in
   let oid = Fs.create_exn fs ~content:(String.make 60_000 'q') in
-  Fs.flush_exn fs;
+  Fs.sync_exn ~mode:`Checkpoint fs;
   Pager.invalidate (Osd.pager (Fs.osd fs));
   Device.set_fault dev (fun op _ -> op = Device.Read);
   (try
@@ -207,9 +207,10 @@ let build_scenario () =
   let posix = P.mount fs in
   P.mkdir_p_exn posix "/data";
   ignore (P.create_file_exn ~content:"checkpoint one content" posix "/data/one");
-  Fs.flush_exn fs;
+  Fs.sync_exn ~mode:`Checkpoint fs;
   (* Second-checkpoint mutations: a new file, a rewrite, and no flush
-     yet - NO-STEAL keeps all of it off the device until Fs.flush_exn. *)
+     yet - NO-STEAL keeps all of it off the device until the next
+     checkpoint. *)
   ignore (P.create_file_exn ~content:"checkpoint two content" posix "/data/two");
   P.write_file_exn posix "/data/one" "rewritten in second checkpoint";
   (dev, fs)
@@ -248,7 +249,7 @@ let count_writes dev f =
 let sweep_checkpoint ?torn_bytes () =
   let total =
     let dev, fs = build_scenario () in
-    count_writes dev (fun () -> Fs.flush_exn fs)
+    count_writes dev (fun () -> Fs.sync_exn ~mode:`Checkpoint fs)
   in
   check Alcotest.bool "checkpoint performs writes" true (total > 0);
   let pre = ref 0 and post = ref 0 in
@@ -256,7 +257,7 @@ let sweep_checkpoint ?torn_bytes () =
     let dev, fs = build_scenario () in
     Device.arm_crash dev ~after_writes:i ?torn_bytes ();
     (try
-       Fs.flush_exn fs;
+       Fs.sync_exn ~mode:`Checkpoint fs;
        Alcotest.failf "crash point %d/%d never hit" i total
      with Device.Io_error _ -> ());
     (* Pull the disk from the dead machine and re-attach. *)
@@ -295,13 +296,13 @@ let test_crash_sweep_during_recovery () =
      journal must eventually carry the system to the post state. *)
   let total =
     let dev, fs = build_scenario () in
-    count_writes dev (fun () -> Fs.flush_exn fs)
+    count_writes dev (fun () -> Fs.sync_exn ~mode:`Checkpoint fs)
   in
   let dev, fs = build_scenario () in
   (* total - 2 is deep into the home writes: the journal seal is long
      since durable, so recovery has real replay work to do. *)
   Device.arm_crash dev ~after_writes:(total - 2) ();
-  (try Fs.flush_exn fs with Device.Io_error _ -> ());
+  (try Fs.sync_exn ~mode:`Checkpoint fs with Device.Io_error _ -> ());
   let base = snapshot dev in
   check Alcotest.bool "scenario crashed post-seal" true
     (let fs2 = reopen (snapshot base) in
@@ -354,7 +355,7 @@ let build_pipelined_scenario () =
   let posix = P.mount fs in
   P.mkdir_p_exn posix "/data";
   ignore (P.create_file_exn ~content:"checkpoint one content" posix "/data/one");
-  (match Fs.barrier fs with
+  (match Fs.sync fs with
   | Ok () -> ()
   | Error e -> Alcotest.failf "setup barrier failed: %s" (Fs.error_message e));
   (* Batch two, acknowledged but not yet durable. *)
@@ -365,7 +366,7 @@ let build_pipelined_scenario () =
 let sweep_group_commit ?torn_bytes () =
   let total =
     let dev, fs = build_pipelined_scenario () in
-    let n = count_writes dev (fun () -> Fs.barrier_exn fs) in
+    let n = count_writes dev (fun () -> Fs.sync_exn fs) in
     Fs.stop_pipeline fs;
     n
   in
@@ -376,7 +377,7 @@ let sweep_group_commit ?torn_bytes () =
     Device.arm_crash dev ~after_writes:i ?torn_bytes ();
     (* The daemon hits the crash; the barrier must report it as a typed
        error, never an exception, and never claim durability. *)
-    (match Fs.barrier fs with
+    (match Fs.sync fs with
     | Ok () -> Alcotest.failf "crash point %d/%d: barrier claimed durability" i total
     | Error (Fs.Io _) -> ()
     | Error e ->
@@ -410,7 +411,7 @@ let test_barrier_acked_never_lost () =
      survive: barrier acknowledgment is a durability promise. *)
   let build () =
     let dev, fs = build_pipelined_scenario () in
-    Fs.barrier_exn fs;  (* batch two durable *)
+    Fs.sync_exn fs;  (* batch two durable *)
     let posix = P.mount fs in
     P.write_file_exn posix "/data/one" "third batch content";
     ignore (P.create_file_exn ~content:"ephemeral" posix "/data/three");
@@ -418,7 +419,7 @@ let test_barrier_acked_never_lost () =
   in
   let total =
     let dev, fs = build () in
-    let n = count_writes dev (fun () -> Fs.barrier_exn fs) in
+    let n = count_writes dev (fun () -> Fs.sync_exn fs) in
     Fs.stop_pipeline fs;
     n
   in
@@ -427,7 +428,7 @@ let test_barrier_acked_never_lost () =
     let dev, fs = build () in
     let torn_bytes = if i land 1 = 1 then Some 22 else None in
     Device.arm_crash dev ~after_writes:i ?torn_bytes ();
-    (match Fs.barrier fs with
+    (match Fs.sync fs with
     | Ok () -> Alcotest.failf "crash point %d/%d: barrier claimed durability" i total
     | Error _ -> ());
     Fs.stop_pipeline fs;
@@ -485,7 +486,7 @@ let build_sharded_scenario () =
   let b = Fs.create_exn fs ~content:pre_one in
   check Alcotest.int "a on shard 0" 0 (Fs.shard_of_oid fs a);
   check Alcotest.int "b on shard 1" 1 (Fs.shard_of_oid fs b);
-  Fs.flush_exn fs;
+  Fs.sync_exn ~mode:`Checkpoint fs;
   (* Checkpoint-two mutations on BOTH shards, not yet flushed. *)
   Fs.write_exn fs a ~off:0 post_zero;
   Fs.write_exn fs b ~off:0 post_one;
@@ -500,7 +501,7 @@ let classify_shard fs oid ~pre ~post label =
 let sweep_sharded ?torn_bytes () =
   let total =
     let dev, fs, _, _ = build_sharded_scenario () in
-    count_writes dev (fun () -> Fs.flush_exn fs)
+    count_writes dev (fun () -> Fs.sync_exn ~mode:`Checkpoint fs)
   in
   check Alcotest.bool "global flush performs writes" true (total > 0);
   let mixed = ref 0 and states = ref [] in
@@ -508,7 +509,7 @@ let sweep_sharded ?torn_bytes () =
     let dev, fs, a, b = build_sharded_scenario () in
     Device.arm_crash dev ~after_writes:i ?torn_bytes ();
     (try
-       Fs.flush_exn fs;
+       Fs.sync_exn ~mode:`Checkpoint fs;
        Alcotest.failf "crash point %d/%d never hit" i total
      with Device.Io_error _ -> ());
     let fs2 = reopen (snapshot dev) in
@@ -564,7 +565,7 @@ let test_crash_sweep_pathcache_rename () =
     let posix = P.mount fs in
     P.mkdir_p_exn posix "/dir/sub";
     ignore (P.create_file_exn ~content:"v1" posix "/dir/sub/f");
-    Fs.flush_exn fs;
+    Fs.sync_exn ~mode:`Checkpoint fs;
     (* Warm the memo on every pre-rename path... *)
     List.iter
       (fun q -> ignore (P.resolve posix q))
@@ -578,7 +579,7 @@ let test_crash_sweep_pathcache_rename () =
   in
   let total =
     let dev, fs = build () in
-    count_writes dev (fun () -> Fs.flush_exn fs)
+    count_writes dev (fun () -> Fs.sync_exn ~mode:`Checkpoint fs)
   in
   check Alcotest.bool "rename commit performs writes" true (total > 0);
   let pre = ref 0 and post = ref 0 in
@@ -586,7 +587,7 @@ let test_crash_sweep_pathcache_rename () =
     let dev, fs = build () in
     Device.arm_crash dev ~after_writes:i ?torn_bytes:None ();
     (try
-       Fs.flush_exn fs;
+       Fs.sync_exn ~mode:`Checkpoint fs;
        Alcotest.failf "crash point %d/%d never hit" i total
      with Device.Io_error _ -> ());
     let fs2 = reopen (snapshot dev) in
@@ -633,7 +634,7 @@ let build_txn_scenario () =
   in
   let a = Fs.create_exn ~names:[ (Tag_.Udef, "a") ] ~content:"base-a" fs in
   let b = Fs.create_exn ~names:[ (Tag_.Udef, "b") ] ~content:"base-b" fs in
-  Fs.flush_exn fs;
+  Fs.sync_exn ~mode:`Checkpoint fs;
   Fs.with_txn_exn fs (fun tx ->
       Fs.Txn.write tx a ~off:0 "txn-write-a";
       ignore (Fs.Txn.create tx ~names:[ (Tag_.Udef, "c") ] ~content:"txn-c");
@@ -667,7 +668,7 @@ let classify_txn i total fs =
 let sweep_txn ?torn_bytes () =
   let total =
     let dev, fs = build_txn_scenario () in
-    count_writes dev (fun () -> Fs.flush_exn fs)
+    count_writes dev (fun () -> Fs.sync_exn ~mode:`Checkpoint fs)
   in
   check Alcotest.bool "txn checkpoint performs writes" true (total > 0);
   let pre = ref 0 and post = ref 0 in
@@ -675,7 +676,7 @@ let sweep_txn ?torn_bytes () =
     let dev, fs = build_txn_scenario () in
     Device.arm_crash dev ~after_writes:i ?torn_bytes ();
     (try
-       Fs.flush_exn fs;
+       Fs.sync_exn ~mode:`Checkpoint fs;
        Alcotest.failf "crash point %d/%d never hit" i total
      with Device.Io_error _ -> ());
     let fs2 = reopen (snapshot dev) in

@@ -82,7 +82,7 @@ let test_full_lifecycle () =
   check Alcotest.string "compaction invisible" before (Fs.read_all fs paper);
 
   (* 9. Checkpoint, snapshot the device, reopen, re-verify everything. *)
-  Fs.flush_exn fs;
+  Fs.sync_exn ~mode:`Checkpoint fs;
   let img = Filename.temp_file "hfad_integration" ".img" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove img with Sys_error _ -> ())

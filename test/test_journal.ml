@@ -262,7 +262,7 @@ let prop_codec_roundtrip =
 let populate fs posix =
   P.mkdir_p_exn posix "/data";
   ignore (P.create_file_exn ~content:"checkpoint one content" posix "/data/one");
-  Fs.flush_exn fs
+  Fs.sync_exn ~mode:`Checkpoint fs
 
 let mutate fs posix =
   ignore (P.create_file_exn ~content:"checkpoint two content" posix "/data/two");
@@ -312,7 +312,7 @@ let test_crash_during_home_writes_replays_journal () =
       && (incr home_writes;
           !home_writes > 3));
   (try
-     Fs.flush_exn fs;
+     Fs.sync_exn ~mode:`Checkpoint fs;
      Alcotest.fail "flush should have crashed"
    with Device.Io_error _ -> ());
   Device.clear_fault dev;
@@ -328,7 +328,7 @@ let test_clean_flush_then_reopen () =
   let posix = P.mount fs in
   populate fs posix;
   mutate fs posix;
-  Fs.flush_exn fs;
+  Fs.sync_exn ~mode:`Checkpoint fs;
   let fs2 = Fs.open_existing_exn ~config:(Fs.Config.v ~index_mode:Fs.Eager ()) (snapshot dev) in
   verify_second_checkpoint fs2 (P.mount fs2);
   check Alcotest.bool "reopened journaled" true (Fs.journaled fs2)
@@ -346,7 +346,7 @@ let test_recovery_is_idempotent () =
       op = Device.Write && idx > 513
       && (incr home_writes;
           !home_writes > 3));
-  (try Fs.flush_exn fs with Device.Io_error _ -> ());
+  (try Fs.sync_exn ~mode:`Checkpoint fs with Device.Io_error _ -> ());
   Device.clear_fault dev;
   let crashed = snapshot dev in
   (* First recovery, but we "crash" again before it can be observed -
@@ -384,7 +384,7 @@ let test_journaled_no_steal_holds_dirty () =
      device (NO-STEAL) - that is what makes the crash test above pass. *)
   let dev = mk_dev ~block_size:1024 ~blocks:16384 () in
   let fs = Fs.format ~config:(Fs.Config.v ~index_mode:Fs.Off ~journal_pages:64 ()) dev in
-  Fs.flush_exn fs;
+  Fs.sync_exn ~mode:`Checkpoint fs;
   Device.reset_stats dev;
   let oid = Fs.create_exn fs ~content:(String.make 50_000 'd') in
   ignore oid;

@@ -302,26 +302,31 @@ let test_concurrent_mut_distinct_pages () =
 let test_pin_discipline_survives_concurrency () =
   (* After a concurrent storm every pin must be balanced: the cache can
      still be filled to capacity, and one page beyond still raises
-     Cache_full. *)
-  let _, p = mk ~cache_pages:2 ~blocks:32 () in
+     Cache_full. Each domain holds at most one pin and there is a frame
+     per domain, so any Cache_full during the storm is a real bug. *)
+  let domains = 4 in
+  let _, p = mk ~cache_pages:domains ~blocks:32 () in
   let spawned =
-    List.init 4 (fun d ->
+    List.init domains (fun d ->
         Domain.spawn (fun () ->
             for i = 1 to 300 do
               Pager.with_page p ((d * 7 + i) mod 32) ignore
             done))
   in
   List.iter Domain.join spawned;
-  (* No leaked pins: both frames are free to pin... *)
-  Pager.with_page p 0 (fun _ ->
-      Pager.with_page p 1 (fun _ ->
-          (* ...and a third simultaneous pin still overflows. *)
-          match Pager.with_page p 2 ignore with
-          | () -> Alcotest.fail "expected Cache_full"
-          | exception Pager.Cache_full _ -> ()));
+  (* No leaked pins: every frame is free to pin... *)
+  let rec pin_all blk =
+    if blk = domains then
+      (* ...and one more simultaneous pin still overflows. *)
+      match Pager.with_page p blk ignore with
+      | () -> Alcotest.fail "expected Cache_full"
+      | exception Pager.Cache_full _ -> ()
+    else Pager.with_page p blk (fun _ -> pin_all (blk + 1))
+  in
+  pin_all 0;
   (* And the failure left no pin behind either. *)
-  Pager.with_page p 2 ignore;
-  Pager.with_page p 3 ignore
+  Pager.with_page p domains ignore;
+  Pager.with_page p (domains + 1) ignore
 
 let suite =
   [

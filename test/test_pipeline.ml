@@ -57,7 +57,7 @@ let test_group_commit_coalesces () =
   done;
   (* 51 acknowledged mutations, none durable yet, zero commits issued. *)
   check Alcotest.int64 "no commit before barrier" seq0 (Osd.journal_sequence osd);
-  Fs.barrier_exn fs;
+  Fs.sync_exn fs;
   (* One barrier, one journaled checkpoint for the whole batch. *)
   check Alcotest.int64 "exactly one group commit" (Int64.add seq0 1L)
     (Osd.journal_sequence osd);
@@ -119,7 +119,7 @@ let test_barrier_is_fsync () =
      nothing of the acknowledged mutation (NO-STEAL keeps it cached). *)
   let early = Fs.open_existing_exn (snapshot dev) in
   check Alcotest.bool "not yet durable" false (Fs.exists early oid);
-  Fs.barrier_exn fs;
+  Fs.sync_exn fs;
   (* After the barrier, a crash-free pull of the disk has everything. *)
   let late = Fs.open_existing_exn (snapshot dev) in
   check Alcotest.bool "durable after barrier" true (Fs.exists late oid);
@@ -133,8 +133,8 @@ let test_empty_barrier_is_free () =
   let _dev, fs = mk_manual () in
   let osd = Fs.osd fs in
   let seq0 = Osd.journal_sequence osd in
-  Fs.barrier_exn fs;
-  Fs.barrier_exn fs;
+  Fs.sync_exn fs;
+  Fs.sync_exn fs;
   check Alcotest.int64 "nothing pending, nothing committed" seq0
     (Osd.journal_sequence osd);
   Fs.stop_pipeline fs
@@ -151,7 +151,7 @@ let test_stop_drains () =
   Fs.start_pipeline fs;
   check Alcotest.bool "restarted" true (Fs.pipeline_running fs);
   let oid2 = Fs.create_exn fs ~content:"second run" in
-  Fs.barrier_exn fs;
+  Fs.sync_exn fs;
   let fs3 = Fs.open_existing_exn (snapshot dev) in
   check Alcotest.string "second run durable" "second run" (Fs.read_all fs3 oid2);
   Fs.stop_pipeline fs
@@ -178,7 +178,7 @@ let test_barrier_without_pipeline () =
     Fs.format ~config:(Fs.Config.v ~journal_pages:128 ~index_mode:Fs.Off ()) dev
   in
   let oid = Fs.create_exn fs ~content:"synchronous barrier" in
-  (match Fs.barrier fs with
+  (match Fs.sync fs with
   | Ok () -> ()
   | Error e -> Alcotest.failf "barrier failed: %s" (Fs.error_message e));
   let fs2 = Fs.open_existing_exn (snapshot dev) in
@@ -189,12 +189,12 @@ let test_failed_commit_is_sticky () =
   ignore (Fs.create_exn fs ~content:"doomed batch");
   (* Kill the device at the first write of the group commit. *)
   Device.arm_crash dev ~after_writes:0 ();
-  (match Fs.barrier fs with
+  (match Fs.sync fs with
   | Ok () -> Alcotest.fail "barrier succeeded on a dead device"
   | Error (Fs.Io _) -> ()
   | Error e -> Alcotest.failf "wrong error: %s" (Fs.error_message e));
   (* The failure is sticky: every later barrier reports it too. *)
-  (match Fs.barrier fs with
+  (match Fs.sync fs with
   | Ok () -> Alcotest.fail "sticky failure forgotten"
   | Error (Fs.Io _) -> ()
   | Error e -> Alcotest.failf "wrong sticky error: %s" (Fs.error_message e));
@@ -223,7 +223,7 @@ let test_readers_race_flusher () =
           ~names:[ (Tag.Udef, Printf.sprintf "pinned-%02d" i) ]
           ~content:(Printf.sprintf "pinned payload %d" i))
   in
-  Fs.barrier_exn fs;
+  Fs.sync_exn fs;
   let failures = Atomic.make 0 in
   let readers =
     List.init 3 (fun d ->
@@ -252,7 +252,7 @@ let test_readers_race_flusher () =
     Fs.append_exn fs churn (Printf.sprintf "churn line %04d\n" i)
   done;
   List.iter Domain.join readers;
-  Fs.barrier_exn fs;
+  Fs.sync_exn fs;
   check Alcotest.int "no reader anomalies" 0 (Atomic.get failures);
   (match Fs.pipeline_stats fs with
   | Some s ->
@@ -337,7 +337,7 @@ let build ~pipelined ops =
         Fs.create_exn fs ~content:(Printf.sprintf "seed object %d" i))
   in
   List.iter (fun op -> apply fs oids op) ops;
-  Fs.barrier_exn fs;
+  Fs.sync_exn fs;
   if pipelined then Fs.stop_pipeline fs;
   (dev, fs, oids)
 

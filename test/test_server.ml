@@ -13,6 +13,7 @@ module Server = Hfad_server.Server
 module Client = Hfad_server.Client
 module Wire = Hfad_server.Wire
 module Registry = Hfad_metrics.Registry
+module Counter = Hfad_metrics.Counter
 module Prefix_pool = Hfad_metrics.Prefix_pool
 module Prometheus = Hfad_metrics.Prometheus
 module Trace = Hfad_trace.Trace
@@ -42,6 +43,11 @@ let with_client server f =
 let ok = function
   | Ok v -> v
   | Error err -> Alcotest.failf "unexpected response: %a" Client.pp_error err
+
+let contains ~sub s =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  m = 0 || go 0
 
 (* --- raw-socket helpers (tests that must control framing) ----------- *)
 
@@ -360,9 +366,20 @@ let test_op_roundtrip () =
           let hits = Fs.lookup fs [ (Tag.User, "margo") ] in
           check Alcotest.bool "tagged object found natively" true
             (List.exists (fun o -> Oid.to_int64 o = oid) hits);
-          (match Client.tag c ~key:"a" ~tag:"ID" ~value:"9" with
-          | Error (Client.Remote _) -> ()
-          | _ -> Alcotest.fail "ID tag must be refused");
+          (* TAG and MULTI's Ttag are the same plan step, so a refused
+             tag answers both doors identically. *)
+          let refused tag =
+            let single = Client.tag c ~key:"a" ~tag ~value:"9" in
+            let step =
+              Client.multi c [ Wire.Ttag { key = "a"; tag; value = "9" } ]
+            in
+            match (single, step) with
+            | Error (Client.Remote m1), Error (Client.Remote m2) ->
+                check Alcotest.string ("same refusal for " ^ tag) m1 m2
+            | _ -> Alcotest.failf "tag %S must be refused" tag
+          in
+          refused "ID";
+          refused "bad/tag";
           (* FLUSH drains the lazy indexer via the group commit, making
              content searchable. *)
           let boid = ok (Client.put c ~key:"b" "the quick brown fox") in
@@ -422,6 +439,106 @@ let test_multi_roundtrip () =
           match Client.get c ~key:"c" with
           | Error Client.Not_found -> ()
           | _ -> Alcotest.fail "aborted Tput must be invisible"))
+
+(* One connection alternates two equal-length values on one key while a
+   second one, dealt to the other worker domain, GETs it. A PUT
+   overwrite is a truncate plus a write; unless both run under one
+   exclusive section, a GET between them reads the empty value no PUT
+   wrote. *)
+let test_no_torn_gets () =
+  with_server ~config:(Server.Config.v ~workers:2 ()) (fun _fs server ->
+      let value word =
+        String.concat " " (List.init 32 (Printf.sprintf "%s%02d" word))
+      in
+      let values = [| value "alpha"; value "omega" |] in
+      (* Connections are dealt round-robin: writer to worker 0, reader
+         to worker 1. *)
+      with_client server (fun writer ->
+          with_client server (fun reader ->
+              ignore (ok (Client.put writer ~key:"torn" values.(0)));
+              let stop = Atomic.make false in
+              let failure = ref None in
+              let puts = ref 0 in
+              let writer_thread =
+                Thread.create
+                  (fun () ->
+                    let deadline = Unix.gettimeofday () +. 2.0 in
+                    (try
+                       while Unix.gettimeofday () < deadline do
+                         incr puts;
+                         let v = values.(!puts land 1) in
+                         ignore (ok (Client.put writer ~key:"torn" v))
+                       done
+                     with e -> failure := Some e);
+                    Atomic.set stop true)
+                  ()
+              in
+              let gets = ref 0 and torn = ref 0 in
+              while not (Atomic.get stop) do
+                let v = ok (Client.get reader ~key:"torn") in
+                incr gets;
+                if not (Array.mem v values) then incr torn
+              done;
+              Thread.join writer_thread;
+              Option.iter raise !failure;
+              check Alcotest.bool "both sides ran" true (!puts > 1 && !gets > 1);
+              check Alcotest.int
+                (Printf.sprintf "torn GETs among %d (%d PUTs)" !gets !puts)
+                0 !torn)))
+
+(* On a journaled server a PUT is bounded by one journal commit: a value
+   too large to seal atomically is refused whole, old value intact. *)
+let test_oversized_put_refused () =
+  with_server (fun _fs server ->
+      with_client server (fun c ->
+          ignore (ok (Client.put c ~key:"big" "small and whole"));
+          (* Twice fs_config's 256-page journal. *)
+          let huge = String.make (2 * 256 * 4096) 'x' in
+          (match Client.put c ~key:"big" huge with
+          | Error (Client.Remote msg) ->
+              check Alcotest.bool "refused as an invalid plan" true
+                (contains ~sub:"journal capacity" msg)
+          | Ok _ -> Alcotest.fail "oversized PUT accepted"
+          | Error e -> Alcotest.failf "expected ERR, got %a" Client.pp_error e);
+          check Alcotest.string "old value intact" "small and whole"
+            (ok (Client.get c ~key:"big"))))
+
+(* A reader slower than the replies it asked for: the worker parks what
+   the socket will not take and resumes it across select rounds, while
+   later replies queue behind it. Every reply must still arrive whole
+   and in order. *)
+let test_slow_reader_gets_every_byte () =
+  with_server ~config:(Server.Config.v ~workers:1 ()) (fun _fs server ->
+      let words = [| "slow"; "reader"; "parked"; "reply" |] in
+      let value =
+        String.concat " " (List.init 40_000 (fun i -> words.(i land 3)))
+      in
+      with_client server (fun c -> ignore (ok (Client.put c ~key:"wide" value)));
+      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+      Unix.setsockopt_int fd Unix.SO_RCVBUF 4096;
+      (* A lost byte fails the read instead of hanging the suite. *)
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+      Unix.connect fd
+        (Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port server));
+      let gets = 32 in
+      raw_send_all fd
+        (String.concat ""
+           (List.init gets (fun i ->
+                Wire.encode_request ~id:(i + 1) (Wire.Get { key = "wide" }))));
+      (* Read nothing until the worker has run into a full socket. *)
+      Thread.delay 0.2;
+      let replies = raw_recv_responses fd gets in
+      Unix.close fd;
+      check (Alcotest.list Alcotest.int) "every reply, in order"
+        (List.init gets (fun i -> i + 1))
+        (List.map fst replies);
+      List.iter
+        (fun (id, r) ->
+          match r with
+          | Wire.Ok_data d when d = value -> ()
+          | other ->
+              Alcotest.failf "reply %d: %a" id Wire.pp_response other)
+        replies)
 
 let test_malformed_does_not_wedge_worker () =
   (* One worker, so both connections share it: the poisoned one must
@@ -487,7 +604,7 @@ let test_busy_backpressure () =
         (List.init burst (fun i -> i + 1))
         ids;
       let stats = Server.stats server in
-      check Alcotest.bool "busy counted" true (stats.Server.busy >= List.length busy);
+      check Alcotest.bool "busy counted" true (stats.busy >= List.length busy);
       Unix.close fd;
       (* Saturation refused work; it must not have broken the server. *)
       with_client server (fun c ->
@@ -541,19 +658,16 @@ let test_stress_no_lost_acks () =
               Alcotest.failf "client %d failed: %s" ci (Printexc.to_string exn))
         errors;
       let stats = Server.stats server in
-      check Alcotest.int "no BUSY for sync clients" 0 stats.Server.busy;
-      check Alcotest.int "no errors" 0 stats.Server.errors;
+      check Alcotest.int "no BUSY for sync clients" 0 stats.busy;
+      check Alcotest.int "no errors" 0 stats.errors;
       check Alcotest.bool "mutation acks rode group commits" true
-        (stats.Server.batches > 0 && stats.Server.batch_ops > 0);
+        (stats.batches > 0 && stats.batch_ops > 0);
       check Alcotest.int "all connections accepted" clients
-        stats.Server.accepted)
+        (Counter.get
+           (Registry.counter Registry.global
+              (Server.metrics_prefix server ^ ".accepted"))))
 
 (* --- remote observability ------------------------------------------- *)
-
-let contains ~sub s =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  m = 0 || go 0
 
 let op_count (s : Wire.Stats.t) op =
   match List.find_opt (fun (o : Wire.Stats.op_stat) -> o.op = op) s.ops with
@@ -703,6 +817,12 @@ let suite =
     Alcotest.test_case "op roundtrip over TCP" `Quick test_op_roundtrip;
     Alcotest.test_case "MULTI transaction over TCP" `Quick
       test_multi_roundtrip;
+    Alcotest.test_case "no torn GETs under PUT overwrite" `Quick
+      test_no_torn_gets;
+    Alcotest.test_case "oversized PUT refused whole" `Quick
+      test_oversized_put_refused;
+    Alcotest.test_case "slow reader gets every byte" `Quick
+      test_slow_reader_gets_every_byte;
     Alcotest.test_case "malformed frame never wedges the worker" `Quick
       test_malformed_does_not_wedge_worker;
     Alcotest.test_case "BUSY backpressure under burst" `Quick

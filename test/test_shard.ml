@@ -163,7 +163,7 @@ let prop_shards1_byte_identical =
         let dev = Device.create ~block_size:512 ~blocks:4096 () in
         let fs = Fs.format ~config dev in
         ignore (apply_script fs script);
-        Fs.flush_exn fs;
+        Fs.sync_exn ~mode:`Checkpoint fs;
         Fs.close fs;
         image_bytes dev
       in
@@ -183,7 +183,7 @@ let test_shards1_raw_osd_open () =
       dev
   in
   let o = Fs.create_exn fs ~content:"visible to the raw osd" in
-  Fs.flush_exn fs;
+  Fs.sync_exn ~mode:`Checkpoint fs;
   Fs.close fs;
   let path = Filename.temp_file "hfad_shard" ".img" in
   Device.save dev path;
@@ -374,7 +374,7 @@ let test_sharded_save_load_reopen () =
   in
   let oids = populate fs in
   let homes = Array.map (Fs.shard_of_oid fs) oids in
-  Fs.flush_exn fs;
+  Fs.sync_exn ~mode:`Checkpoint fs;
   Fs.close fs;
   let path = Filename.temp_file "hfad_shard" ".img" in
   Device.save dev path;
@@ -417,7 +417,7 @@ let test_concurrent_cross_shard_barrier () =
   Array.iteri
     (fun i o -> check Alcotest.int "one object per shard" i (Fs.shard_of_oid fs o))
     oids;
-  Fs.flush_exn fs;
+  Fs.sync_exn ~mode:`Checkpoint fs;
   Fs.start_pipeline fs;
   let ops_per_writer = 400 in
   let writers =
@@ -437,7 +437,7 @@ let test_concurrent_cross_shard_barrier () =
   in
   for _ = 1 to 16 do
     let before = acked_before () in
-    Fs.barrier_exn fs;
+    Fs.sync_exn fs;
     for s = 0 to 3 do
       match Fs.shard_pipeline_stats fs s with
       | Some st ->
@@ -451,7 +451,7 @@ let test_concurrent_cross_shard_barrier () =
   done;
   List.iter Domain.join writers;
   let before = acked_before () in
-  Fs.barrier_exn fs;
+  Fs.sync_exn fs;
   Array.iteri
     (fun s acked ->
       match Fs.shard_pipeline_stats fs s with

@@ -133,9 +133,6 @@ let test_sync_modes () =
   ignore (Fs.create_exn ~names:[ (Tag.Udef, "s") ] ~content:"x" fs);
   Fs.sync_exn ~mode:`Checkpoint fs;
   Fs.sync_exn fs;
-  (* The deprecated aliases stay behaviourally identical. *)
-  Fs.flush_exn fs;
-  Fs.barrier_exn fs;
   check Alcotest.bool "object durable" true (find fs "s" <> None)
 
 (* --- snapshots ------------------------------------------------------- *)
@@ -302,7 +299,8 @@ let suite =
     Alcotest.test_case "cross-shard plan rejected" `Quick
       test_cross_shard_rejected;
     Alcotest.test_case "single-op rename" `Quick test_single_op_rename;
-    Alcotest.test_case "sync modes + deprecated aliases" `Quick test_sync_modes;
+    Alcotest.test_case "sync modes: checkpoint and barrier" `Quick
+      test_sync_modes;
     Alcotest.test_case "snapshot stability" `Quick test_snapshot_stability;
     Alcotest.test_case "snapshot spans a txn" `Quick test_snapshot_spans_txn;
     qtest prop_snapshot_read_stability;
