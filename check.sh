@@ -16,8 +16,8 @@ dune build
 dune runtest
 
 # Bench bit-rot gate: every experiment once at tiny N; numbers printed
-# under --smoke are not measurements. W2, R1, S1, T2, O1 and O2 assert
-# their acceptance shape on every run. --json writes BENCH_<id>.json
+# under --smoke are not measurements. W2, R1, S1, T2, O1, O2 and C6
+# assert their acceptance shape on every run. --json writes BENCH_<id>.json
 # for the JSON-capable experiments, which bench/compare.exe gates
 # against bench/baselines/ and CI uploads.
 dune exec bench/main.exe -- --smoke --json

@@ -34,7 +34,7 @@ let () =
   say "loaded %d messages into hFAD (lazy indexing, backlog = %d)"
     (List.length emails) (Fs.index_backlog fs);
   Fs.drain_index fs;
-  say "indexer drained; backlog = %d" (Fs.index_backlog fs);
+  say "index drained; backlog = %d" (Fs.index_backlog fs);
 
   (* Hierarchical side, with its external desktop-search index. *)
   let dev2 = Device.create ~block_size:4096 ~blocks:65536 () in

@@ -5,8 +5,8 @@
     checkpoint later makes a whole {e batch} of logical operations
     durable at once, amortizing the journal's fixed cost (header seal,
     device barriers) over the batch. This module is the daemon half of
-    that contract; {!Fs} wires it to the OSD checkpoint and the lazy
-    indexer drain.
+    that contract; {!Fs} wires it to the OSD checkpoint and the
+    content-index drain.
 
     Protocol:
     {ul

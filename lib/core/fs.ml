@@ -6,7 +6,6 @@ module Tag = Hfad_index.Tag
 module Index_store = Hfad_index.Index_store
 module Query = Hfad_index.Query
 module Fulltext = Hfad_fulltext.Fulltext
-module Lazy_indexer = Hfad_fulltext.Lazy_indexer
 module Rwlock = Hfad_util.Rwlock
 module Trace = Hfad_trace.Trace
 module Router = Hfad_shard.Router
@@ -467,26 +466,16 @@ let find_pre s chain =
 
 (* --- content indexing ---------------------------------------------------- *)
 
-let reindex_sh config sh l =
-  match config.Config.index_mode with
-  | Off -> ()
-  | Lazy ->
-      Index_store.index_text ~lazily:true sh.s_index l (Osd.read_all sh.s_osd l)
-  | Eager ->
-      Index_store.index_text ~lazily:false sh.s_index l
-        (Osd.read_all sh.s_osd l)
-
-let drain_shard_index sh = Lazy_indexer.drain_all (Index_store.indexer sh.s_index)
+(* A content mutation only marks its object; {!Index_store.drain}
+   reindexes it later from its current bytes. *)
+let mark t sh l =
+  if t.config.Config.index_mode <> Off then Index_store.mark_dirty sh.s_index l
 
 let drain_index t =
-  Array.iter
-    (fun sh -> shard_exclusive sh (fun () -> drain_shard_index sh))
-    t.shards
+  Array.iter (fun sh -> ignore (Index_store.drain sh.s_index)) t.shards
 
 let index_backlog t =
-  Array.fold_left
-    (fun acc sh -> acc + Lazy_indexer.pending (Index_store.indexer sh.s_index))
-    0 t.shards
+  Array.fold_left (fun acc sh -> acc + Index_store.backlog sh.s_index) 0 t.shards
 
 (* --- durability ---------------------------------------------------------- *)
 
@@ -497,7 +486,7 @@ let index_backlog t =
    sync is simply every shard reaching its own durability point. *)
 let group_commit_shard sh =
   shard_exclusive sh (fun () ->
-      drain_shard_index sh;
+      ignore (Index_store.drain sh.s_index);
       Osd.flush_exn sh.s_osd)
 
 let publish_shard_gauges sh =
@@ -518,20 +507,43 @@ let note_write t sh =
   | Some fl when Flusher.running fl -> Flusher.note_mutation fl
   | _ -> if t.config.Config.sync_writes then group_commit_shard sh
 
+(* Every mutation runs its body through here: count it on shard [s],
+   open the route span, report OIDs in errors globally, and hold the
+   shard's exclusive side. [Eager] drains the index before that side is
+   released, whether [f] returns or raises (a rolled-back plan leaves
+   its undone objects marked), so content is searchable the moment the
+   call returns. Only a completed mutation is acknowledged. *)
+let in_shard t s f =
+  let sh = t.shards.(s) in
+  let eager_drain () =
+    if t.config.Config.index_mode = Eager then
+      ignore (Index_store.drain sh.s_index)
+  in
+  bump_ops sh;
+  note_targeted t;
+  span_route t sh (fun () ->
+      with_global_oid t s (fun () ->
+          shard_exclusive sh (fun () ->
+              match f sh with
+              | v ->
+                  eager_drain ();
+                  note_write t sh;
+                  v
+              | exception e ->
+                  eager_drain ();
+                  raise e)))
+
+(* Mutations outside the {!Op.t} vocabulary (insert, remove_bytes,
+   update_metadata, compact): one section each, counted into the next
+   seal like any op. *)
 let mutate t oid f =
   Osd.guard (fun () ->
-      let s = Router.shard_of_oid t.router oid in
-      let sh = t.shards.(s) in
-      bump_ops sh;
-      note_targeted t;
-      span_route t sh (fun () ->
-          with_global_oid t s (fun () ->
-              shard_exclusive sh (fun () ->
-                  let l = Router.to_local t.router oid in
-                  snap_note t sh ~global:oid l;
-                  let v = f sh l in
-                  note_write t sh;
-                  v))))
+      in_shard t (Router.shard_of_oid t.router oid) (fun sh ->
+          let l = Router.to_local t.router oid in
+          snap_note t sh ~global:oid l;
+          let v = f sh l in
+          Osd.note_op sh.s_osd;
+          v))
 
 (* --- the shared mutation executor ----------------------------------------- *)
 
@@ -558,7 +570,7 @@ let apply_op ?(undo = true) t sh op =
       List.iter (fun (tag, value) -> Index_store.add sh.s_index l tag value) names;
       if content <> "" then begin
         Osd.write sh.s_osd l ~off:0 content;
-        reindex_sh t.config sh l
+        mark t sh l
       end;
       if not undo then no_undo
       else
@@ -566,7 +578,6 @@ let apply_op ?(undo = true) t sh op =
           no_undo with
           undo =
             (fun () ->
-              drain_shard_index sh;
               Index_store.drop_object sh.s_index l;
               Osd.delete_object sh.s_osd l);
         }
@@ -575,7 +586,7 @@ let apply_op ?(undo = true) t sh op =
       snap_note t sh ~global:oid l;
       if not undo then begin
         Osd.write sh.s_osd l ~off data;
-        reindex_sh t.config sh l;
+        mark t sh l;
         no_undo
       end
       else begin
@@ -587,14 +598,13 @@ let apply_op ?(undo = true) t sh op =
           else ""
         in
         Osd.write sh.s_osd l ~off data;
-        reindex_sh t.config sh l;
+        mark t sh l;
         {
           no_undo with
           undo =
             (fun () ->
               Osd.truncate sh.s_osd l old_size;
-              if overlap <> "" then Osd.write sh.s_osd l ~off overlap;
-              reindex_sh t.config sh l);
+              if overlap <> "" then Osd.write sh.s_osd l ~off overlap);
         }
       end
   | Op.Append { oid; data } ->
@@ -602,22 +612,15 @@ let apply_op ?(undo = true) t sh op =
       snap_note t sh ~global:oid l;
       let old_size = if undo then Osd.size sh.s_osd l else 0 in
       Osd.append sh.s_osd l data;
-      reindex_sh t.config sh l;
+      mark t sh l;
       if not undo then no_undo
-      else
-        {
-          no_undo with
-          undo =
-            (fun () ->
-              Osd.truncate sh.s_osd l old_size;
-              reindex_sh t.config sh l);
-        }
+      else { no_undo with undo = (fun () -> Osd.truncate sh.s_osd l old_size) }
   | Op.Truncate { oid; size } ->
       let l = local oid in
       snap_note t sh ~global:oid l;
       if not undo then begin
         Osd.truncate sh.s_osd l size;
-        reindex_sh t.config sh l;
+        mark t sh l;
         no_undo
       end
       else begin
@@ -628,14 +631,13 @@ let apply_op ?(undo = true) t sh op =
           else ""
         in
         Osd.truncate sh.s_osd l size;
-        reindex_sh t.config sh l;
+        mark t sh l;
         {
           no_undo with
           undo =
             (fun () ->
               Osd.truncate sh.s_osd l old_size;
-              if tail <> "" then Osd.write sh.s_osd l ~off:size tail;
-              reindex_sh t.config sh l);
+              if tail <> "" then Osd.write sh.s_osd l ~off:size tail);
         }
       end
   | Op.Delete { oid } ->
@@ -649,9 +651,6 @@ let apply_op ?(undo = true) t sh op =
               Index_store.values_of sh.s_index l )
         else None
       in
-      (* Flush this shard's queued indexing first so a pending Index for
-         the OID does not resurrect postings after the drop. *)
-      drain_shard_index sh;
       Index_store.drop_object sh.s_index l;
       Osd.delete_object sh.s_osd l;
       (match saved with
@@ -666,7 +665,7 @@ let apply_op ?(undo = true) t sh op =
                   (fun (tag, value) -> Index_store.add sh.s_index l tag value)
                   names;
                 if content <> "" then Osd.write sh.s_osd l ~off:0 content;
-                reindex_sh t.config sh l);
+                mark t sh l);
           })
   | Op.Name { oid; tag; value } ->
       let l = local oid in
@@ -708,18 +707,10 @@ let apply_op ?(undo = true) t sh op =
    route, apply, count it into the next seal, acknowledge once. *)
 let exec_one t op =
   Osd.guard (fun () ->
-      let g = Op.target op in
-      let s = Router.shard_of_oid t.router g in
-      let sh = t.shards.(s) in
-      bump_ops sh;
-      note_targeted t;
-      span_route t sh (fun () ->
-          with_global_oid t s (fun () ->
-              shard_exclusive sh (fun () ->
-                  let a = apply_op ~undo:false t sh op in
-                  Osd.note_op sh.s_osd;
-                  note_write t sh;
-                  a.removed))))
+      in_shard t (Router.shard_of_oid t.router (Op.target op)) (fun sh ->
+          let a = apply_op ~undo:false t sh op in
+          Osd.note_op sh.s_osd;
+          a.removed))
 
 let barrier_shard sh =
   match sh.s_flusher with
@@ -839,26 +830,21 @@ let create ?meta ?(names = []) ?content t =
   traced "create" @@ fun () ->
   Osd.guard (fun () ->
       let s = place t names in
-      let sh = t.shards.(s) in
-      bump_ops sh;
-      note_targeted t;
-      span_route t sh (fun () ->
-          shard_exclusive sh (fun () ->
-              let l = Osd.reserve_oid sh.s_osd in
-              let g = Router.to_global t.router ~shard:s l in
-              let op =
-                Op.Create
-                  {
-                    reserved = g;
-                    meta;
-                    names;
-                    content = Option.value ~default:"" content;
-                  }
-              in
-              ignore (apply_op ~undo:false t sh op);
-              Osd.note_op sh.s_osd;
-              note_write t sh;
-              g)))
+      in_shard t s (fun sh ->
+          let l = Osd.reserve_oid sh.s_osd in
+          let g = Router.to_global t.router ~shard:s l in
+          let op =
+            Op.Create
+              {
+                reserved = g;
+                meta;
+                names;
+                content = Option.value ~default:"" content;
+              }
+          in
+          ignore (apply_op ~undo:false t sh op);
+          Osd.note_op sh.s_osd;
+          g))
 
 let delete t oid =
   traced "delete" @@ fun () ->
@@ -970,12 +956,10 @@ let commit_ops t sh ops =
     if est > cap then
       reject "plan of %d ops (~%d pages) exceeds journal capacity (%d pages)"
         (List.length ops) est cap;
-    if Pager.dirty_count (Osd.pager sh.s_osd) + est > cap then begin
+    if Pager.dirty_count (Osd.pager sh.s_osd) + est > cap then
       (* Checkpoint what's already pending so the plan's own commit gets
          a sealed chain to itself. *)
-      drain_shard_index sh;
-      Osd.flush_exn sh.s_osd
-    end
+      group_commit_shard sh
   end;
   let undos = ref [] in
   (try
@@ -990,8 +974,7 @@ let commit_ops t sh ops =
      List.iter (fun u -> u ()) !undos;
      raise e);
   Counter.incr c_txn_commits;
-  Counter.add c_txn_ops (List.length ops);
-  note_write t sh
+  Counter.add c_txn_ops (List.length ops)
 
 module Txn = struct
   let check tx =
@@ -1047,13 +1030,7 @@ let with_txn t f =
       in
       (match (Txn.ops tx, tx.tx_shard) with
       | [], _ | _, None -> ()
-      | ops, Some s ->
-          let sh = t.shards.(s) in
-          bump_ops sh;
-          note_targeted t;
-          span_route t sh (fun () ->
-              with_global_oid t s (fun () ->
-                  shard_exclusive sh (fun () -> commit_ops t sh ops))));
+      | ops, Some s -> in_shard t s (fun sh -> commit_ops t sh ops));
       v)
 
 let with_txn_exn t f =
@@ -1231,12 +1208,12 @@ let append t oid data =
 let insert t oid ~off data =
   mutate t oid (fun sh l ->
       Osd.insert sh.s_osd l ~off data;
-      reindex_sh t.config sh l)
+      mark t sh l)
 
 let remove_bytes t oid ~off ~len =
   mutate t oid (fun sh l ->
       Osd.remove_bytes sh.s_osd l ~off ~len;
-      reindex_sh t.config sh l)
+      mark t sh l)
 
 let truncate t oid size =
   Result.map (fun (_ : bool) -> ()) (exec_one t (Op.Truncate { oid; size }))

@@ -16,9 +16,11 @@
        equally useful and even equally used" (§2.2).}
     {- {b Access}: POSIX-shaped {!read}/{!write} plus the hFAD
        extensions {!insert} and {!remove_bytes} (§3.1.2).}
-    {- {b Content indexing}: mutations queue the object for lazy
-       re-indexing (§3.4); {!drain_index} forces the queue, or let the
-       write pipeline's daemon drain it at each group commit.}}
+    {- {b Content indexing}: the full-text index is a view of each
+       object's current bytes. A mutation only marks its object; a
+       drain reindexes every marked object once, from what it holds
+       then (§3.4's lazy indexing). {!drain_index} drains now; the
+       write pipeline's daemon drains at each group commit.}}
 
     {b Durability model.} Mutations update the in-memory stack and
     return; they become durable at a {e durability point} — an explicit
@@ -79,8 +81,13 @@
 type t
 
 type index_mode =
-  | Eager  (** content searchable the instant a mutation returns *)
-  | Lazy   (** content indexed when the indexer drains (default; §3.4) *)
+  | Eager
+      (** every mutation drains its shard's marks before it returns, so
+          content is searchable the instant it returns — also after a
+          transaction rolls back *)
+  | Lazy
+      (** content is stale until the next drain or group commit
+          (default; §3.4) *)
   | Off    (** content never indexed (naming by attributes/ID only) *)
 
 (** {1 Errors} *)
@@ -278,7 +285,7 @@ val sync : ?mode:[ `Barrier | `Checkpoint ] -> t -> (unit, error) result
     remaining shards are still barriered.
 
     [`Checkpoint] checkpoints synchronously and unconditionally: drain
-    the content-indexing queue, then journal-commit the dirty set and
+    the content index, then journal-commit the dirty set and
     write it home ({!Hfad_osd.Osd.flush}) — in the caller's thread even
     while the pipeline is up (commits serialize on the stack lock). *)
 
@@ -290,8 +297,8 @@ val start_pipeline : t -> unit
     and made durable in the background — when the dirty set reaches
     [batch_max_pages], when the oldest acknowledged mutation is
     [batch_max_age] old, or at a {!sync}, whichever is first. Each
-    group commit also drains the lazy indexer, so no separate indexer
-    thread is needed. No-op if already running or if
+    group commit also drains the content index, so this daemon is the
+    background thread that indexes lazily. No-op if already running or if
     [config.sync_writes] is set (the two modes are exclusive). *)
 
 val stop_pipeline : t -> unit
@@ -335,7 +342,7 @@ val object_count : t -> int
 val name : t -> Hfad_osd.Oid.t -> Hfad_index.Tag.t -> string -> (unit, error) result
 (** Attach one more name. @raise Hfad_index.Index_store.Unsupported_tag
     for [Id]/[Fulltext] (identity is intrinsic; content names come from
-    the indexer) — misuse, not an {!error}. *)
+    the object's bytes) — misuse, not an {!error}. *)
 
 val name_exn : t -> Hfad_osd.Oid.t -> Hfad_index.Tag.t -> string -> unit
 val unname : t -> Hfad_osd.Oid.t -> Hfad_index.Tag.t -> string -> (bool, error) result
@@ -536,10 +543,12 @@ val extent_count : t -> Hfad_osd.Oid.t -> int
 (** {1 Content indexing} *)
 
 val drain_index : t -> unit
-(** Apply every queued indexing operation now. *)
+(** Reindex every marked object now, on every shard, from its current
+    bytes. *)
 
 val index_backlog : t -> int
-(** Queued indexing operations (staleness, measured by experiment C6). *)
+(** Objects marked and not yet reindexed (staleness, measured by
+    experiment C6). k mutations of one object count once. *)
 
 val verify : t -> unit
 (** Full-system structural check (OSD + every index).

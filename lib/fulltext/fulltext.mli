@@ -22,8 +22,10 @@
     first — the query-processing lesson the paper carries over from the
     authors' provenance work [3].
 
-    All operations are serialized by an internal mutex so a background
-    {!Lazy_indexer} thread can feed the index while readers query it. *)
+    All operations are serialized by an internal mutex, so an index
+    shared between domains stays consistent even without an outer lock
+    (inside hFAD, {!Hfad_index.Index_store} also holds its shard's
+    lock around every drain and query). *)
 
 type t
 

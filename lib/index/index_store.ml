@@ -1,8 +1,9 @@
 module Osd = Hfad_osd.Osd
 module Oid = Hfad_osd.Oid
+module Meta = Hfad_osd.Meta
 module Btree = Hfad_btree.Btree
 module Fulltext = Hfad_fulltext.Fulltext
-module Lazy_indexer = Hfad_fulltext.Lazy_indexer
+module Oid_set = Set.Make (Oid)
 module Registry = Hfad_metrics.Registry
 module Counter = Hfad_metrics.Counter
 module Rwlock = Hfad_util.Rwlock
@@ -14,7 +15,9 @@ type t = {
   osd : Osd.t;
   attrs : Btree.t;
   fulltext : Fulltext.t;
-  indexer : Lazy_indexer.t;
+  mutable dirty : Oid_set.t;
+      (* Objects whose content changed since their last reindex; read
+         and written under [lock]. *)
   kv : (string, Kv_index.t) Hashtbl.t;
   kv_mutex : Mutex.t;  (* guards the [kv] slice cache only *)
   lock : Rwlock.t;
@@ -40,7 +43,7 @@ let create osd =
     osd;
     attrs;
     fulltext;
-    indexer = Lazy_indexer.create fulltext;
+    dirty = Oid_set.empty;
     kv = Hashtbl.create 8;
     kv_mutex = Mutex.create ();
     lock = Osd.rwlock osd;
@@ -107,20 +110,42 @@ let values_of t oid =
 
 (* --- content indexing ------------------------------------------------------ *)
 
-(* Lazy submission only enqueues (the queue has its own mutex); the
-   exclusive side is taken by whoever eventually applies the work — the
-   background thread and [drain] go through Fulltext, whose B-tree
-   self-locks. Synchronous indexing mutates now, so it takes the
-   exclusive side now. *)
-let index_text ?(lazily = true) t oid text =
-  if lazily then Lazy_indexer.submit_add t.indexer oid text
-  else exclusive t (fun () -> Fulltext.add_document t.fulltext oid text)
+(* The full-text index is a view of the objects' current bytes. A
+   mutation only marks its object; a drain recomputes each marked
+   object's postings from what the object holds at that moment, so k
+   mutations before a drain cost one reindex, and a drain can never
+   bring back the postings of a deleted object. *)
+let mark_dirty t oid =
+  exclusive t (fun () -> t.dirty <- Oid_set.add oid t.dirty)
 
-let unindex_text ?(lazily = true) t oid =
-  if lazily then Lazy_indexer.submit_remove t.indexer oid
-  else exclusive t (fun () -> Fulltext.remove_document t.fulltext oid)
+let backlog t = shared t (fun () -> Oid_set.cardinal t.dirty)
 
-let indexer t = t.indexer
+(* One metadata lookup decides: a regular object is indexed from its
+   bytes; a deleted object, a directory or a symlink loses its postings. *)
+let reindex t oid =
+  match Osd.metadata t.osd oid with
+  | { Meta.kind = Meta.Regular; size; _ } ->
+      Fulltext.add_document t.fulltext oid (Osd.read t.osd oid ~off:0 ~len:size)
+  | { Meta.kind = Meta.Directory | Meta.Symlink; _ }
+  | (exception Osd.No_such_object _) ->
+      Fulltext.remove_document t.fulltext oid
+
+(* Ascending OID order: postings keys end in the OID, so a bulk load
+   appends each term's new postings at the right edge of its key range.
+   Any other order packs the postings pages differently, and measurably
+   slower, since every B-tree access decodes a whole page. *)
+let drain ?(max_items = max_int) t =
+  exclusive t @@ fun () ->
+  let rec go n =
+    match Oid_set.min_elt_opt t.dirty with
+    | Some oid when n < max_items ->
+        reindex t oid;
+        t.dirty <- Oid_set.remove oid t.dirty;
+        go (n + 1)
+    | Some _ | None -> n
+  in
+  go 0
+
 let fulltext t = t.fulltext
 let image t = t.image
 

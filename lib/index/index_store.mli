@@ -7,8 +7,9 @@
 
     - [Posix], [User], [Udef], [App], [Custom _] → {!Kv_index} slices of
       one shared attribute B-tree;
-    - [Fulltext] → the {!Hfad_fulltext.Fulltext} inverted index (content
-      is fed through a {!Hfad_fulltext.Lazy_indexer}, per §3.4);
+    - [Fulltext] → the {!Hfad_fulltext.Fulltext} inverted index, a view
+      of the objects' current bytes: mutations {!mark_dirty} an object
+      and a {!drain} reindexes it (lazily, per §3.4);
     - [Id] → no index at all: the value {e is} the OID (Table 1's
       fast path);
     - [Custom "IMAGE"] additionally exposes similarity search through
@@ -26,11 +27,10 @@
     discipline of the OSD it is created on — the same reentrant
     {!Hfad_util.Rwlock} ({!Hfad_osd.Osd.rwlock}) guards both layers.
     {!lookup}, {!query}, {!selectivity}, {!contains}, {!lookup_prefix},
-    {!values_of} and {!verify} hold the shared side; {!add}, {!remove},
-    {!drop_object} and eager {!index_text}/{!unindex_text} hold the
-    exclusive side. The per-tag slice registry is guarded by a private
-    mutex; lazy indexing submissions go through the self-synchronized
-    {!Hfad_fulltext.Lazy_indexer} queue. *)
+    {!values_of}, {!backlog} and {!verify} hold the shared side; {!add},
+    {!remove}, {!drop_object}, {!mark_dirty} and {!drain} hold the
+    exclusive side, so the dirty set needs no lock of its own. The
+    per-tag slice registry is guarded by a private mutex. *)
 
 type t
 
@@ -45,8 +45,8 @@ exception Unsupported_tag of Tag.t
 
 val add : t -> Hfad_osd.Oid.t -> Tag.t -> string -> unit
 (** Associate a tag/value pair with an object. [Fulltext] and [Id] are
-    not assignable ({!Unsupported_tag}): content terms come from
-    {!index_text}, identity from the OSD.
+    not assignable ({!Unsupported_tag}): content terms come from the
+    object's bytes ({!drain}), identity from the OSD.
     @raise Kv_index.Value_not_indexable for malformed values. *)
 
 val remove : t -> Hfad_osd.Oid.t -> Tag.t -> string -> bool
@@ -57,16 +57,19 @@ val values_of : t -> Hfad_osd.Oid.t -> (Tag.t * string) list
 
 (** {1 Content indexing} *)
 
-val index_text : ?lazily:bool -> t -> Hfad_osd.Oid.t -> string -> unit
-(** Feed object content to the full-text index. With [lazily:true]
-    (default) the work is queued for the background indexer; with
-    [lazily:false] it is applied synchronously. *)
+val mark_dirty : t -> Hfad_osd.Oid.t -> unit
+(** Note that the object's content changed. Reads nothing; marking an
+    object k times before a drain costs one reindex. *)
 
-val unindex_text : ?lazily:bool -> t -> Hfad_osd.Oid.t -> unit
+val backlog : t -> int
+(** Marked objects not yet drained (staleness, measured by experiment
+    C6). *)
 
-val indexer : t -> Hfad_fulltext.Lazy_indexer.t
-(** The background indexing queue ({!Hfad_fulltext.Lazy_indexer.drain}
-    it, or start its thread). *)
+val drain : ?max_items:int -> t -> int
+(** Reindex up to [max_items] marked objects (default: all), in
+    ascending OID order, from their current bytes: a [Regular] object is
+    indexed, and a deleted object, directory or symlink has its postings
+    removed. Returns how many were reindexed. *)
 
 val fulltext : t -> Hfad_fulltext.Fulltext.t
 

@@ -77,7 +77,7 @@ let oid_at t path =
       in
       match Pathcache.find pc path with
       | Some oid as hit ->
-          if Osd.exists (Fs.osd t.fs) oid then hit
+          if Fs.exists t.fs oid then hit
           else begin
             Pathcache.invalidate pc path;
             miss ()
@@ -136,7 +136,7 @@ let rec resolve_norm t path ~follow ~hops =
       let meta = Fs.metadata t.fs oid in
       if follow && meta.Meta.kind = Meta.Symlink then begin
         if hops >= max_symlink_hops then err ELOOP path;
-        let target = Osd.read_all (Fs.osd t.fs) oid in
+        let target = Fs.read_all t.fs oid in
         let absolute =
           if String.length target > 0 && target.[0] = '/' then target
           else Path.join (Path.parent path) target
@@ -262,15 +262,13 @@ let symlink_exn t ~target path =
   require_absent t path;
   require_parent_dir t path;
   let meta = Meta.make ~kind:Meta.Symlink () in
-  let oid = Fs.create_exn ~meta t.fs in
-  (* Bypass Fs.write_exn so link targets never reach the full-text index. *)
-  Osd.write (Fs.osd t.fs) oid ~off:0 target;
+  let oid = Fs.create_exn ~meta ~content:target t.fs in
   add_name t oid path
 
 let readlink t path =
   let oid = resolve ~follow:false t path in
   if (Fs.metadata t.fs oid).Meta.kind <> Meta.Symlink then err EINVAL path
-  else Osd.read_all (Fs.osd t.fs) oid
+  else Fs.read_all t.fs oid
 
 let nlink_oid t oid =
   List.length

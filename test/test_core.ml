@@ -108,6 +108,22 @@ let test_lazy_mode_staleness () =
     (List.map fst (Fs.search fs "lazy"));
   check Alcotest.int "backlog empty" 0 (Fs.index_backlog fs)
 
+(* Marks coalesce: five appends before a drain leave one object to
+   reindex, and the drain reads the bytes the object ends with. *)
+let test_lazy_marks_coalesce () =
+  let _, fs = mk ~index_mode:Fs.Lazy () in
+  let oid = Fs.create_exn fs ~content:"opening" in
+  Fs.drain_index fs;
+  List.iter
+    (fun w -> Fs.append_exn fs oid (" " ^ w))
+    [ "kiwi"; "mango"; "papaya"; "quince"; "tamarind" ];
+  check Alcotest.int "one object marked" 1 (Fs.index_backlog fs);
+  check (Alcotest.list oid_t) "stale" [] (List.map fst (Fs.search fs "tamarind"));
+  Fs.drain_index fs;
+  check (Alcotest.list oid_t) "final words searchable" [ oid ]
+    (List.map fst (Fs.search fs "opening kiwi tamarind"));
+  check Alcotest.int "backlog empty" 0 (Fs.index_backlog fs)
+
 let test_off_mode_never_indexes () =
   let _, fs = mk ~index_mode:Fs.Off () in
   let _ = Fs.create_exn fs ~content:"invisible content" in
@@ -269,6 +285,7 @@ let suite =
     Alcotest.test_case "eager reindex on mutation" `Quick
       test_mutation_reindexes_eagerly;
     Alcotest.test_case "lazy mode staleness" `Quick test_lazy_mode_staleness;
+    Alcotest.test_case "lazy marks coalesce" `Quick test_lazy_marks_coalesce;
     Alcotest.test_case "off mode" `Quick test_off_mode_never_indexes;
     Alcotest.test_case "access interface" `Quick test_access_interface_via_core;
     Alcotest.test_case "survives reopen" `Quick test_survives_reopen;

@@ -1,13 +1,15 @@
-(* Tests for Hfad_fulltext: Tokenizer, Fulltext, Lazy_indexer. *)
+(* Tests for Hfad_fulltext: Tokenizer, Fulltext, and lazy indexing through
+   Index_store's dirty set. *)
 
 module Device = Hfad_blockdev.Device
 module Pager = Hfad_pager.Pager
 module Buddy = Hfad_alloc.Buddy
 module Btree = Hfad_btree.Btree
+module Osd = Hfad_osd.Osd
 module Oid = Hfad_osd.Oid
+module Index_store = Hfad_index.Index_store
 module Tokenizer = Hfad_fulltext.Tokenizer
 module Fulltext = Hfad_fulltext.Fulltext
-module Lazy_indexer = Hfad_fulltext.Lazy_indexer
 
 let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
@@ -199,67 +201,26 @@ let prop_search_finds_containing_docs =
                (Tokenizer.tokens text))
            (List.mapi (fun i text -> (i, text)) texts)))
 
-(* --- Lazy_indexer -------------------------------------------------------- *)
+(* --- Lazy indexing --------------------------------------------------- *)
 
+(* The backlog of unindexed text lives in Index_store: a write marks the
+   object and a drain reads its bytes into the full-text index. *)
 let test_lazy_staleness_until_drain () =
-  let ft = mk_index () in
-  let ix = Lazy_indexer.create ft in
-  Lazy_indexer.submit_add ix (oid 1) "pending document";
+  let dev = Device.create ~block_size:1024 ~blocks:16384 () in
+  let osd = Osd.format ~config:(Osd.Config.v ~cache_pages:256 ()) dev in
+  let store = Index_store.create osd in
+  let ft = Index_store.fulltext store in
+  let o1 = Osd.create_object osd in
+  Osd.write osd o1 ~off:0 "pending document";
+  Index_store.mark_dirty store o1;
   (* §3.4 laziness: not yet visible to search. *)
   check (Alcotest.list oid_t) "stale before drain" []
     (Fulltext.search ft [ "pending" ]);
-  check Alcotest.int "queued" 1 (Lazy_indexer.pending ix);
-  check Alcotest.int "drained" 1 (Lazy_indexer.drain ix);
-  check (Alcotest.list oid_t) "visible after drain" [ oid 1 ]
+  check Alcotest.int "marked" 1 (Index_store.backlog store);
+  check Alcotest.int "drained" 1 (Index_store.drain store);
+  check (Alcotest.list oid_t) "visible after drain" [ o1 ]
     (Fulltext.search ft [ "pending" ]);
-  check Alcotest.int "queue empty" 0 (Lazy_indexer.pending ix)
-
-let test_lazy_drain_bounded () =
-  let ft = mk_index () in
-  let ix = Lazy_indexer.create ft in
-  for i = 1 to 10 do
-    Lazy_indexer.submit_add ix (oid i) (Printf.sprintf "doc number%d" i)
-  done;
-  check Alcotest.int "partial drain" 4 (Lazy_indexer.drain ~max_items:4 ix);
-  check Alcotest.int "rest queued" 6 (Lazy_indexer.pending ix);
-  check Alcotest.int "doc count tracks drain" 4 (Fulltext.doc_count ft);
-  Lazy_indexer.drain_all ix;
-  check Alcotest.int "all indexed" 10 (Fulltext.doc_count ft);
-  check Alcotest.int "processed total" 10 (Lazy_indexer.processed ix)
-
-let test_lazy_remove_through_queue () =
-  let ft = mk_index () in
-  let ix = Lazy_indexer.create ft in
-  Lazy_indexer.submit_add ix (oid 1) "ephemeral";
-  Lazy_indexer.submit_remove ix (oid 1);
-  Lazy_indexer.drain_all ix;
-  check (Alcotest.list oid_t) "net effect: gone" []
-    (Fulltext.search ft [ "ephemeral" ]);
-  check Alcotest.int "doc count" 0 (Fulltext.doc_count ft)
-
-let test_lazy_background_thread () =
-  let ft = mk_index () in
-  let ix = Lazy_indexer.create ft in
-  Lazy_indexer.start_background ix;
-  for i = 1 to 200 do
-    Lazy_indexer.submit_add ix (oid i) (Printf.sprintf "background doc%d text" i)
-  done;
-  (* stop_background waits for the queue to empty. *)
-  Lazy_indexer.stop_background ix;
-  check Alcotest.int "everything indexed" 200 (Fulltext.doc_count ft);
-  check (Alcotest.list oid_t) "searchable" [ oid 77 ]
-    (Fulltext.search ft [ "doc77" ]);
-  Fulltext.verify ft
-
-let test_lazy_background_idempotent_controls () =
-  let ft = mk_index () in
-  let ix = Lazy_indexer.create ft in
-  Lazy_indexer.start_background ix;
-  Lazy_indexer.start_background ix;
-  Lazy_indexer.submit_add ix (oid 1) "once";
-  Lazy_indexer.stop_background ix;
-  Lazy_indexer.stop_background ix;
-  check Alcotest.int "indexed once" 1 (Fulltext.doc_count ft)
+  check Alcotest.int "backlog empty" 0 (Index_store.backlog store)
 
 let suite =
   [
@@ -288,10 +249,4 @@ let suite =
     prop_search_finds_containing_docs;
     Alcotest.test_case "lazy: stale until drained" `Quick
       test_lazy_staleness_until_drain;
-    Alcotest.test_case "lazy: bounded drain" `Quick test_lazy_drain_bounded;
-    Alcotest.test_case "lazy: remove through queue" `Quick
-      test_lazy_remove_through_queue;
-    Alcotest.test_case "lazy: background thread" `Slow test_lazy_background_thread;
-    Alcotest.test_case "lazy: idempotent start/stop" `Quick
-      test_lazy_background_idempotent_controls;
   ]

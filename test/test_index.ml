@@ -11,7 +11,6 @@ module Kv_index = Hfad_index.Kv_index
 module Image_index = Hfad_index.Image_index
 module Index_store = Hfad_index.Index_store
 module Fulltext = Hfad_fulltext.Fulltext
-module Lazy_indexer = Hfad_fulltext.Lazy_indexer
 
 let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
@@ -35,6 +34,13 @@ let mk_store () =
   let dev = Device.create ~block_size:1024 ~blocks:16384 () in
   let osd = Osd.format ~config:(Osd.Config.v ~cache_pages:256 ()) dev in
   (dev, osd, Index_store.create osd)
+
+(* Content reaches the full-text index the way Fs feeds it: write the
+   bytes, mark the object, and (unless [drain] is false) drain. *)
+let put_text ?(drain = true) osd store oid text =
+  Osd.write osd oid ~off:0 text;
+  Index_store.mark_dirty store oid;
+  if drain then ignore (Index_store.drain store)
 
 (* --- Tag ------------------------------------------------------------------- *)
 
@@ -249,8 +255,8 @@ let test_store_fulltext_integration () =
   let _, osd, store = mk_store () in
   let o1 = Osd.create_object osd in
   let o2 = Osd.create_object osd in
-  Index_store.index_text ~lazily:false store o1 "report about whales";
-  Index_store.index_text ~lazily:false store o2 "report about goats";
+  put_text osd store o1 "report about whales";
+  put_text osd store o2 "report about goats";
   Index_store.add store o1 Tag.App "latex";
   check (Alcotest.list oid_t) "fulltext lookup" [ o1 ]
     (Index_store.lookup store (Tag.Fulltext, "whales"));
@@ -258,15 +264,55 @@ let test_store_fulltext_integration () =
     (Index_store.query store [ (Tag.Fulltext, "report"); (Tag.App, "latex") ]);
   Index_store.verify store
 
+(* §3.4 laziness: stale until drained. Marks coalesce, and the drain
+   reads the bytes the object holds when it runs. *)
 let test_store_lazy_indexing_path () =
   let _, osd, store = mk_store () in
   let o1 = Osd.create_object osd in
-  Index_store.index_text store o1 "lazily indexed content";
+  put_text ~drain:false osd store o1 "pending document";
+  put_text ~drain:false osd store o1 "lazily indexed content";
   check (Alcotest.list oid_t) "stale" []
     (Index_store.lookup store (Tag.Fulltext, "lazily"));
-  Lazy_indexer.drain_all (Index_store.indexer store);
+  check Alcotest.int "one mark per object" 1 (Index_store.backlog store);
+  check Alcotest.int "drained" 1 (Index_store.drain store);
   check (Alcotest.list oid_t) "fresh" [ o1 ]
-    (Index_store.lookup store (Tag.Fulltext, "lazily"))
+    (Index_store.lookup store (Tag.Fulltext, "lazily"));
+  check (Alcotest.list oid_t) "overwritten bytes never indexed" []
+    (Index_store.lookup store (Tag.Fulltext, "pending"));
+  check Alcotest.int "backlog empty" 0 (Index_store.backlog store)
+
+let test_drain_bounded_ascending () =
+  let _, osd, store = mk_store () in
+  let oids = List.init 10 (fun _ -> Osd.create_object osd) in
+  List.iteri
+    (fun i o -> Osd.write osd o ~off:0 (Printf.sprintf "doc number%d" i))
+    oids;
+  (* Marked newest first; the drain still goes in ascending OID order. *)
+  List.iter (Index_store.mark_dirty store) (List.rev oids);
+  check Alcotest.int "partial drain" 4 (Index_store.drain ~max_items:4 store);
+  check Alcotest.int "rest marked" 6 (Index_store.backlog store);
+  let ft = Index_store.fulltext store in
+  check Alcotest.int "doc count tracks drain" 4 (Fulltext.doc_count ft);
+  check (Alcotest.list Alcotest.bool) "lowest OIDs first"
+    (List.init 10 (fun i -> i < 4))
+    (List.map (Fulltext.is_indexed ft) oids);
+  check Alcotest.int "the rest" 6 (Index_store.drain store);
+  check Alcotest.int "all indexed" 10 (Fulltext.doc_count ft)
+
+let test_drain_removes_deleted () =
+  let _, osd, store = mk_store () in
+  let o1 = Osd.create_object osd in
+  put_text osd store o1 "ephemeral";
+  check (Alcotest.list oid_t) "indexed" [ o1 ]
+    (Index_store.lookup store (Tag.Fulltext, "ephemeral"));
+  Osd.delete_object osd o1;
+  Index_store.mark_dirty store o1;
+  ignore (Index_store.drain store);
+  check (Alcotest.list oid_t) "net effect: gone" []
+    (Index_store.lookup store (Tag.Fulltext, "ephemeral"));
+  check Alcotest.int "doc count" 0
+    (Fulltext.doc_count (Index_store.fulltext store));
+  Index_store.verify store
 
 let test_store_unsupported_tags () =
   let _, osd, store = mk_store () in
@@ -284,7 +330,7 @@ let test_store_values_of_and_drop () =
   Index_store.add store o1 Tag.User "margo";
   Index_store.add store o1 Tag.Udef "thesis";
   Index_store.add store o1 Tag.Posix "/home/margo/thesis.tex";
-  Index_store.index_text ~lazily:false store o1 "hierarchical filesystems are dead";
+  put_text osd store o1 "hierarchical filesystems are dead";
   check
     (Alcotest.list (Alcotest.pair tag_t Alcotest.string))
     "values_of"
@@ -325,7 +371,7 @@ let test_store_survives_reopen () =
   let dev, osd, store = mk_store () in
   let o1 = Osd.create_object osd in
   Index_store.add store o1 Tag.User "margo";
-  Index_store.index_text ~lazily:false store o1 "durable content";
+  put_text osd store o1 "durable content";
   Osd.flush_exn osd;
   let osd2 = Osd.open_existing_exn ~config:(Osd.Config.v ~cache_pages:256 ()) dev in
   let store2 = Index_store.create osd2 in
@@ -340,7 +386,7 @@ let test_store_contains_probe () =
   let o1 = Osd.create_object osd in
   let o2 = Osd.create_object osd in
   Index_store.add store o1 Tag.User "margo";
-  Index_store.index_text ~lazily:false store o1 "probing is cheap";
+  put_text osd store o1 "probing is cheap";
   check Alcotest.bool "kv yes" true (Index_store.contains store o1 (Tag.User, "margo"));
   check Alcotest.bool "kv no" false (Index_store.contains store o2 (Tag.User, "margo"));
   check Alcotest.bool "fulltext yes" true
@@ -422,6 +468,10 @@ let suite =
     Alcotest.test_case "store fulltext integration" `Quick
       test_store_fulltext_integration;
     Alcotest.test_case "store lazy indexing" `Quick test_store_lazy_indexing_path;
+    Alcotest.test_case "store drain: bounded, ascending OIDs" `Quick
+      test_drain_bounded_ascending;
+    Alcotest.test_case "store drain: removes deleted objects" `Quick
+      test_drain_removes_deleted;
     Alcotest.test_case "store unsupported tags" `Quick test_store_unsupported_tags;
     Alcotest.test_case "store values_of / drop" `Quick test_store_values_of_and_drop;
     Alcotest.test_case "store custom tag" `Quick test_store_custom_tag;

@@ -12,9 +12,13 @@ module P = Hfad_posix.Posix_fs
 let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
 
-let mk () =
+let mk ?(shards = 1) () =
   let dev = Device.create ~block_size:1024 ~blocks:16384 () in
-  let fs = Fs.format ~config:(Fs.Config.v ~cache_pages:256 ~index_mode:Fs.Eager ()) dev in
+  let fs =
+    Fs.format
+      ~config:(Fs.Config.v ~cache_pages:256 ~index_mode:Fs.Eager ~shards ())
+      dev
+  in
   (dev, fs, P.mount fs)
 
 let expect_err errno f =
@@ -219,8 +223,8 @@ let test_rename_errors () =
   (* renaming to itself is a no-op *)
   P.rename_exn p "/f" "/f"
 
-let test_symlinks () =
-  let _, _, p = mk () in
+let test_symlinks shards () =
+  let _, fs, p = mk ~shards () in
   P.mkdir_exn p "/real";
   P.create_file_exn ~content:"target data" p "/real/data" |> ignore;
   P.symlink_exn p ~target:"/real/data" "/abs-link";
@@ -234,7 +238,16 @@ let test_symlinks () =
   check Alcotest.bool "link kind" true
     ((P.stat p "/abs-link").Meta.kind = Meta.Regular);
   check Alcotest.bool "link object is symlink" true
-    ((Fs.metadata (P.fs p) link_oid).Meta.kind = Meta.Symlink)
+    ((Fs.metadata (P.fs p) link_oid).Meta.kind = Meta.Symlink);
+  check Alcotest.int "link targets are not content" 0
+    (List.length (Fs.search fs "real"));
+  (* Every path-cache hit names a live object, on whichever shard. *)
+  for _ = 1 to 3 do
+    ignore (P.read_file p "/abs-link");
+    ignore (P.read_file p "/real/rel-link")
+  done;
+  check Alcotest.int "no live hit judged dead" 0
+    (Option.get (P.pathcache_stats p)).Hfad_pathcache.Pathcache.invalidations
 
 let test_symlink_loop_detected () =
   let _, _, p = mk () in
@@ -373,7 +386,8 @@ let suite =
     Alcotest.test_case "rename directory subtree" `Quick
       test_rename_directory_subtree;
     Alcotest.test_case "rename errors" `Quick test_rename_errors;
-    Alcotest.test_case "symlinks" `Quick test_symlinks;
+    Alcotest.test_case "symlinks" `Quick (test_symlinks 1);
+    Alcotest.test_case "symlinks on 4 shards" `Quick (test_symlinks 4);
     Alcotest.test_case "symlink loop" `Quick test_symlink_loop_detected;
     Alcotest.test_case "fd I/O" `Quick test_fd_io;
     Alcotest.test_case "openf errors" `Quick test_openf_errors;

@@ -380,7 +380,7 @@ let test_op_roundtrip () =
           in
           refused "ID";
           refused "bad/tag";
-          (* FLUSH drains the lazy indexer via the group commit, making
+          (* FLUSH drains the content index via the group commit, making
              content searchable. *)
           let boid = ok (Client.put c ~key:"b" "the quick brown fox") in
           ok (Client.flush c);

@@ -22,6 +22,7 @@ let mk ?(shards = 1) () =
     ~config:(Fs.Config.v ~cache_pages:512 ~index_mode:Fs.Eager ~shards ())
     dev
 
+let oid_t = Alcotest.testable Oid.pp Oid.equal
 let find fs key = Fs.lookup_one fs [ (Tag.Udef, key) ]
 let found fs key = Option.get (find fs key)
 
@@ -95,6 +96,23 @@ let test_apply_failure_rolls_back () =
   | Error e -> Alcotest.failf "wrong error: %s" (Fs.error_message e));
   check Alcotest.bool "created object undone" true (find fs "doomed" = None);
   check Alcotest.string "write undone" "keep" (Fs.read_all fs base);
+  (* Eager: the index shows the restored bytes as soon as the call
+     returns, not the rolled-back ones. *)
+  let hits q = List.map fst (Fs.search fs q) in
+  check (Alcotest.list oid_t) "rolled-back words not found" [] (hits "gone");
+  check (Alcotest.list oid_t) "kept words found" [ base ] (hits "keep");
+  let a = Fs.create_exn ~names:[ (Tag.Udef, "ra") ] ~content:"survivor" fs in
+  (match
+     Fs.with_txn fs (fun tx ->
+         Fs.Txn.delete tx a;
+         Fs.Txn.name tx base Tag.Udef "bad\000value")
+   with
+  | exception Kv_index.Value_not_indexable _ -> ()
+  | Ok () -> Alcotest.fail "unindexable name committed"
+  | Error e -> Alcotest.failf "wrong error: %s" (Fs.error_message e));
+  check Alcotest.bool "delete undone" true (Fs.exists fs a);
+  check (Alcotest.list oid_t) "undeleted object searchable" [ a ]
+    (hits "survivor");
   Fs.verify fs
 
 let test_cross_shard_rejected () =
