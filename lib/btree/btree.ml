@@ -50,13 +50,29 @@ let max_value_size t = Pager.page_size t.pager / 4
 let page_size t = Pager.page_size t.pager
 let min_node_size t = Pager.page_size t.pager / 4
 
-let load t page_no =
+(* One node visit, the paper's "index traversal": count it and run [f]
+   on the page's bytes. *)
+let visit t page_no f =
   Atomic.incr t.nodes_visited;
   Counter.incr global_nodes;
-  Pager.with_page t.pager page_no Node.decode
+  Pager.with_page t.pager page_no f
+
+(* A visited node decoded whole, for the paths that restructure it. *)
+let load t page_no = visit t page_no Node.decode
 
 let store t page_no node =
   Pager.with_page_mut t.pager page_no (fun page -> Node.encode node page)
+
+(* What one visit on the way down finds: the leaf's answer, or the child
+   to visit next. *)
+type 'a step = Leaf of 'a | Child of int
+
+(* Visit [page_no] on the way to [key]'s leaf, where [at_leaf] answers
+   from the page bytes. *)
+let step t page_no key at_leaf =
+  visit t page_no (fun page ->
+      if Node.is_leaf page then Leaf (at_leaf page)
+      else Child (Node.child_for page key))
 
 let begin_descent t =
   Atomic.incr t.descents;
@@ -93,6 +109,17 @@ let array_remove arr i =
   let n = Array.length arr in
   Array.init (n - 1) (fun j -> if j < i then arr.(j) else arr.(j + 1))
 
+(* Index of child page [child] in [children]. *)
+let child_index children child =
+  Option.get (Array.find_index (Int.equal child) children)
+
+(* The decoded internal node at [page_no], whose visit the caller has
+   already counted. *)
+let internal_at t page_no =
+  match Pager.with_page t.pager page_no Node.decode with
+  | Node.Internal { keys; children } -> (keys, children)
+  | Node.Leaf _ -> assert false
+
 (* --- lookup --------------------------------------------------------- *)
 
 let check_key t k =
@@ -117,16 +144,24 @@ let traced t ~op f =
         Trace.add_attr_int "nodes" (Atomic.get t.nodes_visited - before);
         v)
 
+(* A traced find names the page it visits at depth [d] in attr "l<d>". *)
+let level_attrs = Array.init 16 (Printf.sprintf "l%d")
+
+let level_attr depth =
+  if depth < Array.length level_attrs then level_attrs.(depth)
+  else Printf.sprintf "l%d" depth
+
+let binding_at page pos = if pos < 0 then None else Some (Node.binding page pos)
+
+let value_of key page =
+  let pos = Node.search page key in
+  if pos < 0 then None else Some (Node.value_at page pos)
+
 let rec find_rec t depth page_no key =
-  if Trace.enabled () then
-    Trace.add_attr_int (Printf.sprintf "l%d" depth) page_no;
-  match load t page_no with
-  | Node.Leaf { entries; _ } -> (
-      match Node.find_entry entries key with
-      | Some i -> Some (snd entries.(i))
-      | None -> None)
-  | Node.Internal { keys; children } ->
-      find_rec t (depth + 1) children.(Node.find_child keys key) key
+  if Trace.enabled () then Trace.add_attr_int (level_attr depth) page_no;
+  match step t page_no key (value_of key) with
+  | Leaf v -> v
+  | Child c -> find_rec t (depth + 1) c key
 
 let find t key =
   traced t ~op:"find" (fun () ->
@@ -136,19 +171,55 @@ let find t key =
 
 let mem t key = Option.is_some (find t key)
 
-(* --- insertion ------------------------------------------------------ *)
+(* --- restructuring ------------------------------------------------------ *)
 
-(* Choose a cut index in [1, n-1] such that elements [0, cut) weigh about
-   half of [total]. [weight i] is the encoded size of element [i]. *)
-let size_cut ~n ~total ~weight =
-  let half = total / 2 in
-  let rec loop i acc =
-    if i >= n - 1 then n - 1
-    else
-      let acc = acc + weight i in
-      if acc >= half then i + 1 else loop (i + 1) acc
+(* Choose a cut index in [1, n-1]: elements [0, cut) go left. The cut is
+   the first prefix that weighs at least half of [total], if both sides
+   then weigh between [lo] and [hi]; otherwise it is the cut nearest half
+   that keeps them there. [weight i] is the encoded size of element [i]. *)
+let size_cut ~lo ~hi ~n ~total ~weight =
+  let prefix = Array.make (n + 1) 0 in
+  for i = 0 to n - 1 do
+    prefix.(i + 1) <- prefix.(i) + weight i
+  done;
+  let fits c =
+    let left = prefix.(c) and right = total - prefix.(c) in
+    lo <= left && left <= hi && lo <= right && right <= hi
   in
-  max 1 (min (n - 1) (loop 0 0))
+  let half = total / 2 in
+  let rec first c = if c >= n - 1 || prefix.(c) >= half then c else first (c + 1) in
+  let cut = max 1 (first 1) in
+  if fits cut then cut
+  else begin
+    let distance c = abs (prefix.(c) - half) in
+    let best = ref cut in
+    for c = 1 to n - 1 do
+      if fits c && ((not (fits !best)) || distance c < distance !best) then best := c
+    done;
+    !best
+  end
+
+(* Leaf halves must fit the page and keep the minimum fill. An entry is
+   at most 3/8 of a page, so some cut always does both. *)
+let leaf_cut t ~n ~total ~weight =
+  size_cut
+    ~lo:(min_node_size t - Node.header_size)
+    ~hi:(page_size t - Node.header_size)
+    ~n ~total ~weight
+
+(* Sorted [entries] with [key] bound to [value]. *)
+let with_binding entries key value =
+  let below =
+    Array.fold_left
+      (fun n (k, _) -> if String.compare k key < 0 then n + 1 else n)
+      0 entries
+  in
+  if below < Array.length entries && fst entries.(below) = key then begin
+    let entries = Array.copy entries in
+    entries.(below) <- (key, value);
+    entries
+  end
+  else array_insert entries below (key, value)
 
 let split_leaf t page_no entries next =
   Atomic.incr t.splits;
@@ -157,7 +228,7 @@ let split_leaf t page_no entries next =
     Array.fold_left (fun acc (k, v) -> acc + Node.leaf_entry_size k v) 0 entries
   in
   let cut =
-    size_cut ~n ~total ~weight:(fun i ->
+    leaf_cut t ~n ~total ~weight:(fun i ->
         let k, v = entries.(i) in
         Node.leaf_entry_size k v)
   in
@@ -175,7 +246,8 @@ let split_internal t page_no keys children =
     Array.fold_left (fun acc k -> acc + Node.internal_entry_size k) 0 keys
   in
   let mid =
-    size_cut ~n ~total ~weight:(fun i -> Node.internal_entry_size keys.(i))
+    size_cut ~lo:0 ~hi:max_int ~n ~total ~weight:(fun i ->
+        Node.internal_entry_size keys.(i))
   in
   (* Clamp so that both sides keep at least one key. *)
   let mid = max 1 (min (n - 2) mid) in
@@ -188,60 +260,6 @@ let split_internal t page_no keys children =
   store t right_page (Node.Internal { keys = right_keys; children = right_children });
   store t page_no (Node.Internal { keys = left_keys; children = left_children });
   (promoted, right_page)
-
-(* Returns [Some (separator, right_page)] when the updated node split. *)
-let rec insert_rec t page_no key value =
-  match load t page_no with
-  | Node.Leaf { entries; next } ->
-      let i = Node.lower_bound entries key in
-      let entries =
-        if i < Array.length entries && fst entries.(i) = key then begin
-          let updated = Array.copy entries in
-          updated.(i) <- (key, value);
-          updated
-        end
-        else array_insert entries i (key, value)
-      in
-      let node = Node.Leaf { entries; next } in
-      if Node.encoded_size node <= page_size t then begin
-        store t page_no node;
-        None
-      end
-      else Some (split_leaf t page_no entries next)
-  | Node.Internal { keys; children } -> (
-      let ci = Node.find_child keys key in
-      match insert_rec t children.(ci) key value with
-      | None -> None
-      | Some (sep, right_page) ->
-          let keys = array_insert keys ci sep in
-          let children = array_insert children (ci + 1) right_page in
-          let node = Node.Internal { keys; children } in
-          if Node.encoded_size node <= page_size t then begin
-            store t page_no node;
-            None
-          end
-          else Some (split_internal t page_no keys children))
-
-let put t ~key ~value =
-  check_key t key;
-  check_value t value;
-  traced t ~op:"put" @@ fun () ->
-  exclusive t (fun () ->
-      begin_descent t;
-      match insert_rec t t.root key value with
-      | None -> ()
-      | Some (sep, right_page) ->
-          (* Anchored root: the root page now holds the left half; move it
-             to a fresh page and rewrite the root as a two-child
-             internal. *)
-          let left_page = t.alloc.alloc_page () in
-          let left_node = load t t.root in
-          store t left_page left_node;
-          store t t.root
-            (Node.Internal
-               { keys = [| sep |]; children = [| left_page; right_page |] }))
-
-(* --- deletion ------------------------------------------------------- *)
 
 let node_underflows t node = Node.encoded_size node < min_node_size t
 
@@ -275,7 +293,7 @@ let fix_leaf_pair t ~left_page ~right_page ~left ~right =
         0 combined
     in
     let cut =
-      size_cut ~n ~total ~weight:(fun i ->
+      leaf_cut t ~n ~total ~weight:(fun i ->
           let k, v = combined.(i) in
           Node.leaf_entry_size k v)
     in
@@ -314,7 +332,8 @@ let fix_internal_pair t ~left_page ~right_page ~left ~right ~sep =
       Array.fold_left (fun acc k -> acc + Node.internal_entry_size k) 0 keys
     in
     let mid =
-      size_cut ~n ~total ~weight:(fun i -> Node.internal_entry_size keys.(i))
+      size_cut ~lo:0 ~hi:max_int ~n ~total ~weight:(fun i ->
+        Node.internal_entry_size keys.(i))
     in
     let mid = max 1 (min (n - 2) mid) in
     let promoted = keys.(mid) in
@@ -349,54 +368,124 @@ let fix_child t keys children ci =
       keys.(li) <- sep;
       (keys, children)
 
-(* Returns (deleted, node_now_underflows). *)
-let rec delete_rec t page_no key =
-  match load t page_no with
-  | Node.Leaf { entries; next } -> (
-      match Node.find_entry entries key with
-      | None -> (false, false)
-      | Some i ->
-          let entries = array_remove entries i in
-          let node = Node.Leaf { entries; next } in
-          store t page_no node;
-          (true, node_underflows t node))
-  | Node.Internal { keys; children } ->
-      let ci = Node.find_child keys key in
-      let deleted, child_under = delete_rec t children.(ci) key in
-      if not child_under then (deleted, false)
-      else begin
-        let keys, children = fix_child t keys children ci in
-        let node = Node.Internal { keys; children } in
-        store t page_no node;
-        (deleted, Array.length keys = 0 || node_underflows t node)
-      end
+(* --- updates ----------------------------------------------------------
+
+   A put or remove descends in place and changes its leaf's bytes in
+   place. Only when the leaf outgrows its page or falls below a quarter
+   page do the nodes involved get decoded, restructured and re-encoded,
+   and each parent on the way back up absorbs what its child reports. *)
+
+type change =
+  | Fits
+  | Split of string * int  (** separator and new right sibling *)
+  | Underfull  (** below a quarter page after shrinking *)
+
+(* Store internal node [(keys, children)] at [page_no], splitting it if it
+   outgrew the page. Only a node that [shrank] can report [Underfull]. *)
+let rewrite t page_no keys children ~shrank =
+  let node = Node.Internal { keys; children } in
+  if Node.encoded_size node > page_size t then
+    let sep, right_page = split_internal t page_no keys children in
+    Split (sep, right_page)
+  else begin
+    store t page_no node;
+    if shrank && (Array.length keys = 0 || node_underflows t node) then Underfull
+    else Fits
+  end
+
+(* The internal node at [page_no] absorbs what happened to its [child]. *)
+let absorb t page_no child = function
+  | Fits -> Fits
+  | Split (sep, right_page) ->
+      let keys, children = internal_at t page_no in
+      let ci = child_index children child in
+      rewrite t page_no (array_insert keys ci sep)
+        (array_insert children (ci + 1) right_page)
+        ~shrank:false
+  | Underfull ->
+      let keys, children = internal_at t page_no in
+      let keys, children = fix_child t keys children (child_index children child) in
+      rewrite t page_no keys children ~shrank:true
+
+(* Descend to [key]'s leaf and run [at_leaf page_no pos] there, [pos]
+   being [Node.search]'s answer on the leaf. *)
+let rec update_rec t page_no key at_leaf =
+  match step t page_no key (fun page -> Node.search page key) with
+  | Leaf pos -> at_leaf page_no pos
+  | Child child -> absorb t page_no child (update_rec t child key at_leaf)
+
+(* A leaf that is not the root must stay at least a quarter full. *)
+let leaf_change t page_no used =
+  if used < min_node_size t && page_no <> t.root then Underfull else Fits
+
+let put_leaf t key value page_no pos =
+  let grown =
+    Pager.with_page_mut t.pager page_no (fun page ->
+        let used = Node.put_at page pos key value in
+        if used >= 0 then Ok used else Error (Node.decode page))
+  in
+  match grown with
+  | Ok used -> leaf_change t page_no used
+  | Error (Node.Leaf { entries; next }) ->
+      let sep, right_page = split_leaf t page_no (with_binding entries key value) next in
+      Split (sep, right_page)
+  | Error (Node.Internal _) -> assert false
+
+(* Collapse a root that routes to a single child. *)
+let collapse_root t =
+  let only_child =
+    visit t t.root (fun page ->
+        if Node.is_leaf page || Node.nkeys page > 0 then None
+        else Some (Node.child page 0))
+  in
+  match only_child with
+  | Some only ->
+      let child = load t only in
+      store t t.root child;
+      t.alloc.free_page only
+  | None -> ()
+
+(* Anchored root: after a root split the root page holds the left half;
+   move it to a fresh page and rewrite the root as a two-child
+   internal. *)
+let grow_root t sep right_page =
+  let left_page = t.alloc.alloc_page () in
+  let left_node = load t t.root in
+  store t left_page left_node;
+  store t t.root
+    (Node.Internal { keys = [| sep |]; children = [| left_page; right_page |] })
+
+let put t ~key ~value =
+  check_key t key;
+  check_value t value;
+  traced t ~op:"put" @@ fun () ->
+  exclusive t (fun () ->
+      begin_descent t;
+      match update_rec t t.root key (put_leaf t key value) with
+      | Fits -> ()
+      | Underfull -> collapse_root t
+      | Split (sep, right_page) -> grow_root t sep right_page)
 
 let remove t key =
   traced t ~op:"remove" @@ fun () ->
   exclusive t (fun () ->
       begin_descent t;
-      let deleted, _ = delete_rec t t.root key in
-      (* Collapse a root that routes to a single child. *)
-      (match load t t.root with
-      | Node.Internal { keys = [||]; children = [| only |] } ->
-          let child = load t only in
-          store t t.root child;
-          t.alloc.free_page only
-      | Node.Internal _ | Node.Leaf _ -> ());
-      deleted)
+      let deleted = ref false in
+      let remove_leaf page_no pos =
+        if pos < 0 then Fits
+        else begin
+          deleted := true;
+          leaf_change t page_no
+            (Pager.with_page_mut t.pager page_no (fun page -> Node.remove_at page pos))
+        end
+      in
+      (* A repair can lengthen a separator until the root splits. *)
+      (match update_rec t t.root key remove_leaf with
+      | Split (sep, right_page) -> grow_root t sep right_page
+      | Fits | Underfull -> collapse_root t);
+      !deleted)
 
 (* --- ordered access -------------------------------------------------- *)
-
-let rec leftmost_leaf t page_no =
-  match load t page_no with
-  | Node.Leaf _ as leaf -> (page_no, leaf)
-  | Node.Internal { children; _ } -> leftmost_leaf t children.(0)
-
-let rec leaf_for t page_no key =
-  match load t page_no with
-  | Node.Leaf _ as leaf -> (page_no, leaf)
-  | Node.Internal { keys; children } ->
-      leaf_for t children.(Node.find_child keys key) key
 
 exception Stop
 
@@ -404,32 +493,35 @@ let fold_range t ?lo ?hi ~init f =
   traced t ~op:"range" @@ fun () ->
   shared t @@ fun () ->
   begin_descent t;
-  let _, leaf =
-    match lo with
-    | Some key -> leaf_for t t.root key
-    | None -> leftmost_leaf t t.root
-  in
-  let below_hi k =
-    match hi with Some h -> String.compare k h < 0 | None -> true
-  in
-  let at_or_above_lo k =
-    match lo with Some l -> String.compare k l >= 0 | None -> true
-  in
   let acc = ref init in
-  let rec walk leaf =
-    match leaf with
-    | Node.Internal _ -> assert false
-    | Node.Leaf { entries; next } ->
-        Array.iter
-          (fun (k, v) ->
-            if at_or_above_lo k then
-              if below_hi k then acc := f !acc k v else raise Stop)
-          entries;
-        (match next with
-        | Some page -> walk (load t page)
-        | None -> ())
+  (* Fold [f] over the leaf's entries from offset [pos] on, stopping the
+     whole range at the first key [>= hi]; return the next leaf. *)
+  let fold_leaf page pos =
+    let stop = Node.used page and pos = ref pos in
+    while !pos < stop do
+      (match hi with
+      | Some h when Node.compare_key page !pos h >= 0 -> raise Stop
+      | Some _ | None -> ());
+      acc := f !acc (Node.key_at page !pos) (Node.value_at page !pos);
+      pos := Node.next_entry page !pos
+    done;
+    Node.next_leaf page
   in
-  (try walk leaf with Stop -> ());
+  let rec down page_no =
+    let next =
+      visit t page_no (fun page ->
+          if Node.is_leaf page then
+            Leaf
+              (fold_leaf page
+                 (match lo with Some l -> Node.lower_bound page l | None -> Node.header_size))
+          else Child (match lo with Some l -> Node.child_for page l | None -> Node.child page 0))
+    in
+    match next with Leaf next -> along next | Child c -> down c
+  and along = function
+    | Some page_no -> along (visit t page_no (fun page -> fold_leaf page Node.header_size))
+    | None -> ()
+  in
+  (try down t.root with Stop -> ());
   !acc
 
 let iter_range t ?lo ?hi f =
@@ -446,12 +538,13 @@ let next_after t key =
       | None -> if k = key then None else Some (k, v))
 
 let rec rightmost_binding t page_no =
-  match load t page_no with
-  | Node.Leaf { entries; _ } ->
-      if Array.length entries = 0 then None
-      else Some entries.(Array.length entries - 1)
-  | Node.Internal { children; _ } ->
-      rightmost_binding t children.(Array.length children - 1)
+  match
+    visit t page_no (fun page ->
+        if Node.is_leaf page then Leaf (binding_at page (Node.last_entry page))
+        else Child (Node.child page (Node.nkeys page)))
+  with
+  | Leaf b -> b
+  | Child c -> rightmost_binding t c
 
 let floor_binding t key =
   traced t ~op:"floor" @@ fun () ->
@@ -460,23 +553,22 @@ let floor_binding t key =
   (* Descend toward [key], remembering the nearest subtree entirely to the
      left of the taken branch; fall back to its maximum when the leaf has
      no entry <= key. *)
-  let rec go page_no fallback =
-    match load t page_no with
-    | Node.Leaf { entries; _ } ->
-        let i = Node.lower_bound entries key in
-        if i < Array.length entries && fst entries.(i) = key then
-          Some entries.(i)
-        else if i > 0 then Some entries.(i - 1)
-        else (
-          match fallback with
-          | Some page -> rightmost_binding t page
-          | None -> None)
-    | Node.Internal { keys; children } ->
-        let ci = Node.find_child keys key in
-        let fallback = if ci > 0 then Some children.(ci - 1) else fallback in
-        go children.(ci) fallback
+  let fallback = ref None in
+  let rec go page_no =
+    match
+      visit t page_no (fun page ->
+          if Node.is_leaf page then Leaf (binding_at page (Node.floor_entry page key))
+          else begin
+            let ci = Node.route page key in
+            if ci > 0 then fallback := Some (Node.child page (ci - 1));
+            Child (Node.child page ci)
+          end)
+    with
+    | Leaf (Some _ as b) -> b
+    | Leaf None -> Option.bind !fallback (rightmost_binding t)
+    | Child c -> go c
   in
-  go t.root None
+  go t.root
 
 let fold_prefix t ~prefix ~init f =
   match Strx.next_prefix prefix with
@@ -496,17 +588,16 @@ let to_list t =
 let cardinal t = fold_range t ~init:0 (fun acc _ _ -> acc + 1)
 let is_empty t = Option.is_none (min_binding t)
 
+(* The child page numbers of the node at [page_no]; none for a leaf. *)
+let children_of t page_no = visit t page_no Node.children
+
 let rec free_subtree t page_no =
-  (match load t page_no with
-  | Node.Leaf _ -> ()
-  | Node.Internal { children; _ } -> Array.iter (free_subtree t) children);
+  Array.iter (free_subtree t) (children_of t page_no);
   t.alloc.free_page page_no
 
 let clear t =
   exclusive t (fun () ->
-      (match load t t.root with
-      | Node.Leaf _ -> ()
-      | Node.Internal { children; _ } -> Array.iter (free_subtree t) children);
+      Array.iter (free_subtree t) (children_of t t.root);
       store t t.root (Node.empty_leaf ()))
 
 let destroy t =
@@ -534,18 +625,18 @@ let reset_stats t =
 
 let height t =
   let rec depth page_no =
-    match load t page_no with
-    | Node.Leaf _ -> 1
-    | Node.Internal { children; _ } -> 1 + depth children.(0)
+    match
+      visit t page_no (fun page ->
+          if Node.is_leaf page then None else Some (Node.child page 0))
+    with
+    | None -> 1
+    | Some child -> 1 + depth child
   in
   shared t (fun () -> depth t.root)
 
 let fold_pages t ~init f =
   let rec walk acc page_no =
-    let acc = f acc page_no in
-    match load t page_no with
-    | Node.Leaf _ -> acc
-    | Node.Internal { children; _ } -> Array.fold_left walk acc children
+    Array.fold_left walk (f acc page_no) (children_of t page_no)
   in
   shared t (fun () -> walk init t.root)
 

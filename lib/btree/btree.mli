@@ -78,7 +78,9 @@ val remove : t -> string -> bool
 (** {1 Ordered access}
 
     Ranges are half-open [\[lo, hi)]; omitting a bound leaves that side
-    unbounded. Callbacks must not modify the tree. *)
+    unbounded. Callbacks must not modify the tree: they run while the
+    current leaf's page is pinned in the pager, reading its bytes in
+    place. *)
 
 val fold_range :
   t -> ?lo:string -> ?hi:string -> init:'a -> ('a -> string -> string -> 'a) -> 'a

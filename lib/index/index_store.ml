@@ -132,8 +132,7 @@ let reindex t oid =
 
 (* Ascending OID order: postings keys end in the OID, so a bulk load
    appends each term's new postings at the right edge of its key range.
-   Any other order packs the postings pages differently, and measurably
-   slower, since every B-tree access decodes a whole page. *)
+   Any other order packs the postings pages differently. *)
 let drain ?(max_items = max_int) t =
   exclusive t @@ fun () ->
   let rec go n =

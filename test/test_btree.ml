@@ -11,8 +11,9 @@ module SMap = Map.Make (String)
 let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
 
-(* A tree over a small page size so splits and merges happen early. *)
-let mk_tree ?(page_size = 256) ?(blocks = 4096) () =
+(* A tree over a small page size so splits and merges happen early, with
+   its pager (for reading raw pages) and allocator. *)
+let mk_tree_env ?(page_size = 256) ?(blocks = 4096) () =
   let dev = Device.create ~block_size:page_size ~blocks () in
   let pager = Pager.create ~cache_pages:64 dev in
   let buddy = Buddy.create ~first_block:0 ~blocks () in
@@ -23,7 +24,11 @@ let mk_tree ?(page_size = 256) ?(blocks = 4096) () =
     }
   in
   let root = Buddy.alloc buddy 1 in
-  (Btree.create pager alloc ~root, buddy)
+  (Btree.create pager alloc ~root, pager, buddy)
+
+let mk_tree ?page_size ?blocks () =
+  let t, _, buddy = mk_tree_env ?page_size ?blocks () in
+  (t, buddy)
 
 let key i = Printf.sprintf "key%06d" i
 let value i = Printf.sprintf "value-%d" i
@@ -71,12 +76,24 @@ let test_node_encode_too_big () =
      Alcotest.fail "expected Invalid_argument"
    with Invalid_argument _ -> ())
 
-let test_node_find_child () =
-  let keys = [| "f"; "m"; "t" |] in
-  check Alcotest.int "below all" 0 (Node.find_child keys "a");
-  check Alcotest.int "equal routes right" 1 (Node.find_child keys "f");
-  check Alcotest.int "between" 1 (Node.find_child keys "g");
-  check Alcotest.int "above all" 3 (Node.find_child keys "z")
+let test_node_routing () =
+  let page = Bytes.create 256 in
+  Node.encode
+    (Node.Internal { keys = [| "f"; "m"; "t" |]; children = [| 10; 11; 12; 13 |] })
+    page;
+  let routes k i =
+    check Alcotest.int ("route " ^ k) i (Node.route page k);
+    check Alcotest.int ("child_for " ^ k) (10 + i) (Node.child_for page k)
+  in
+  routes "a" 0;
+  routes "" 0;
+  routes "f" 1 (* equal routes right *);
+  routes "g" 1;
+  routes "m" 2;
+  routes "z" 3;
+  check (Alcotest.array Alcotest.int) "children" [| 10; 11; 12; 13 |]
+    (Node.children page);
+  check Alcotest.int "child 3" 13 (Node.child page 3)
 
 let test_node_binary_roundtrip =
   qtest
@@ -407,6 +424,149 @@ let test_traversal_depth_tracks_height () =
   check Alcotest.int "one descent" 1 s.Btree.descents;
   check Alcotest.int "nodes visited = height" h s.Btree.nodes_visited
 
+(* --- in-place page access ------------------------------------------------ *)
+
+let node_decodes =
+  Hfad_metrics.Registry.counter Hfad_metrics.Registry.global "btree.node_decodes"
+
+(* Decodes [f] causes. *)
+let decodes_during f =
+  let before = Hfad_metrics.Counter.get node_decodes in
+  let v = f () in
+  (Hfad_metrics.Counter.get node_decodes - before, v)
+
+let test_hot_paths_decode_nothing () =
+  let t, _ = mk_tree ~page_size:4096 () in
+  for i = 0 to 19_999 do
+    Btree.put t ~key:(key i) ~value:(value i)
+  done;
+  let none name f =
+    let n, _ = decodes_during f in
+    check Alcotest.int (name ^ " decodes no node") 0 n
+  in
+  none "find" (fun () ->
+      check (Alcotest.option Alcotest.string) "found" (Some (value 12_345))
+        (Btree.find t (key 12_345)));
+  none "find absent" (fun () -> ignore (Btree.find t "key012345x"));
+  none "floor_binding" (fun () ->
+      check
+        Alcotest.(option (pair string string))
+        "floor" (Some (key 12_345, value 12_345))
+        (Btree.floor_binding t "key012345x"));
+  none "10-key fold_range" (fun () ->
+      check Alcotest.int "ten keys" 10
+        (Btree.fold_range t ~lo:(key 500) ~hi:(key 510) ~init:0 (fun n _ _ -> n + 1)));
+  (* Ascending inserts leave every leaf but the last about half full, so
+     one more entry fits and removing it leaves the leaf as it was. *)
+  let splits = (Btree.stats t).Btree.splits in
+  none "put replacing a value" (fun () ->
+      Btree.put t ~key:(key 777) ~value:"replaced");
+  none "put that fits its leaf" (fun () ->
+      Btree.put t ~key:"key000777x" ~value:"new");
+  check Alcotest.int "no split" splits (Btree.stats t).Btree.splits;
+  none "remove" (fun () ->
+      check Alcotest.bool "removed" true (Btree.remove t "key000777x"));
+  let n, () =
+    decodes_during (fun () ->
+        let i = ref 0 in
+        while (Btree.stats t).Btree.splits = splits do
+          Btree.put t ~key:(Printf.sprintf "key000778%04d" !i) ~value:(value !i);
+          incr i
+        done)
+  in
+  check Alcotest.bool "a split decodes" true (n >= 1);
+  Btree.verify t
+
+(* Op streams whose ids repeat (replacements that grow or shrink the
+   value) and whose key and value lengths are fractions, out of 59 and
+   64, of the tree's limits, so they reach both; bytes span 0..255. *)
+let page_ops_gen =
+  QCheck.(
+    list_of_size (Gen.int_range 50 300)
+      (quad (int_bound 3) (int_bound 59) (int_bound 64) (int_bound 255)))
+
+(* Distinct ids give distinct lengths, hence distinct keys. *)
+let key_of_id ~max_key id =
+  String.init (id * max_key / 59) (fun j -> Char.chr (((id * 37) + (j * 11)) land 255))
+
+(* Run [ops] on a tree of [page_size] pages; after every op the tree
+   matches the model, verifies, and each page is byte for byte what
+   [Node.encode] makes of its decoded node. *)
+let pages_match_encode ~page_size ops =
+  let t, pager, _ = mk_tree_env ~page_size () in
+  let max_key = Btree.max_key_size t and max_value = Btree.max_value_size t in
+  let model = ref SMap.empty in
+  let pages_canonical () =
+    Btree.fold_pages t ~init:true (fun ok page_no ->
+        ok
+        && Pager.with_page pager page_no (fun page ->
+               let again = Bytes.make (Bytes.length page) '\255' in
+               Node.encode (Node.decode page) again;
+               Bytes.equal page again))
+  in
+  let holds () =
+    Btree.verify t;
+    Btree.to_list t = SMap.bindings !model && pages_canonical ()
+  in
+  let remove k =
+    ignore (Btree.remove t k);
+    model := SMap.remove k !model;
+    holds ()
+  in
+  (* A quarter removes, then a drain of whatever is left, so leaves
+     split, merge and rebalance down to an empty root. *)
+  List.for_all
+    (fun (kind, id, vlen, c) ->
+      let k = key_of_id ~max_key id in
+      if kind = 0 then remove k
+      else begin
+        let v = String.make (vlen * max_value / 64) (Char.chr c) in
+        Btree.put t ~key:k ~value:v;
+        model := SMap.add k v !model;
+        holds ()
+      end)
+    ops
+  && List.for_all remove (List.map fst (SMap.bindings !model))
+
+(* 256-byte pages split and merge often; 1024-byte pages take values of
+   two-byte varint length. *)
+let prop_pages_match_encode =
+  QCheck.Test.make ~name:"in-place updates leave encoded pages" ~count:60
+    page_ops_gen (fun ops ->
+      pages_match_encode ~page_size:256 ops && pages_match_encode ~page_size:1024 ops)
+
+(* A root leaf holding "a", "b", "c", corrupted by [damage]. *)
+let corrupt_leaf damage =
+  let t, pager, _ = mk_tree_env () in
+  List.iter (fun k -> Btree.put t ~key:k ~value:(String.uppercase_ascii k)) [ "a"; "b"; "c" ];
+  Pager.with_page_mut pager (Btree.root t) damage;
+  (t, pager)
+
+let check_corrupt_raises name (t, pager) =
+  let raises what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: %s did not raise" name what
+    | exception (Failure _ | Invalid_argument _) -> ()
+  in
+  raises "Node.decode" (fun () -> Pager.with_page pager (Btree.root t) Node.decode);
+  (* The probe key sorts after every real entry, so the scans reach the
+     damage. *)
+  raises "find" (fun () -> Btree.find t "z");
+  raises "fold_range" (fun () -> Btree.to_list t);
+  raises "put" (fun () -> Btree.put t ~key:"z" ~value:"Z")
+
+let test_corrupt_pages_raise () =
+  (* Zeroed tail: the phantom entries are ("", "") pairs until the scan
+     runs off the page. *)
+  check_corrupt_raises "nkeys overstated"
+    (corrupt_leaf (fun page -> Bytes.set_uint16_be page 1 0xFFFF));
+  (* "c" is the third entry, at offset 7 + 4 + 4; a two-byte varint
+     there claims 16383 key bytes. *)
+  check_corrupt_raises "key past page end"
+    (corrupt_leaf (fun page ->
+         Bytes.set page 15 '\xff';
+         Bytes.set page 16 '\x7f'))
+
 (* --- properties --------------------------------------------------------- *)
 
 let apply_ops ops =
@@ -494,7 +654,7 @@ let suite =
     Alcotest.test_case "node leaf without next" `Quick test_node_leaf_no_next;
     Alcotest.test_case "node internal roundtrip" `Quick test_node_internal_roundtrip;
     Alcotest.test_case "node rejects oversized encode" `Quick test_node_encode_too_big;
-    Alcotest.test_case "node find_child routing" `Quick test_node_find_child;
+    Alcotest.test_case "node in-place routing" `Quick test_node_routing;
     test_node_binary_roundtrip;
     Alcotest.test_case "empty tree" `Quick test_empty_tree;
     Alcotest.test_case "single binding" `Quick test_single_binding;
@@ -523,6 +683,10 @@ let suite =
     Alcotest.test_case "stats counting" `Quick test_stats_counting;
     Alcotest.test_case "traversal depth = height" `Quick
       test_traversal_depth_tracks_height;
+    Alcotest.test_case "hot paths decode no node" `Quick
+      test_hot_paths_decode_nothing;
+    qtest prop_pages_match_encode;
+    Alcotest.test_case "corrupt pages raise" `Quick test_corrupt_pages_raise;
     qtest prop_model_equivalence;
     qtest prop_structural_invariants;
     qtest prop_range_matches_model;

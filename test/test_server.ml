@@ -736,7 +736,11 @@ let test_metrics_scrape () =
           | None -> Alcotest.failf "%s missing from exposition" name);
           (* ...and so are the process-global latency histograms. *)
           check Alcotest.bool "latency histogram exposed" true
-            (List.mem_assoc "server_latency_us_put_count" series)))
+            (List.mem_assoc "server_latency_us_put_count" series);
+          List.iter
+            (fun name ->
+              check Alcotest.bool (name ^ " exposed") true (List.mem_assoc name series))
+            [ "btree_descents"; "btree_node_decodes" ]))
 
 let test_trace_scrape_and_propagation () =
   with_server (fun _fs server ->
