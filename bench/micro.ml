@@ -11,6 +11,8 @@ module Device = Hfad_blockdev.Device
 module Buddy = Hfad_alloc.Buddy
 module Pager = Hfad_pager.Pager
 module Btree = Hfad_btree.Btree
+module Crc32 = Hfad_util.Crc32
+module Journal = Hfad_journal.Journal
 module Fs = Hfad.Fs
 module Tag = Hfad_index.Tag
 module P = Hfad_posix.Posix_fs
@@ -30,6 +32,12 @@ let make_tests () =
     }
   in
   let tree = Btree.create pgr alloc ~root:(Buddy.alloc buddy 1) in
+  (* checkpoint fixture: one 4 KiB page to checksum, and a 64-page batch
+     for a journal region that holds it in one record *)
+  let page = Bytes.init 4096 (fun i -> Char.chr ((i * 131) land 0xFF)) in
+  let jdev = Device.create ~block_size:4096 ~blocks:128 () in
+  let journal = Journal.format jdev ~first_block:0 ~blocks:128 in
+  let batch = List.init 64 (fun i -> (1000 + i, Bytes.copy page)) in
   for i = 0 to Bench_util.scaled 9_999 ~smoke:499 do
     Btree.put tree ~key:(Printf.sprintf "key%06d" i) ~value:"value"
   done;
@@ -59,6 +67,10 @@ let make_tests () =
   ignore (H.create_file ~content:"deep" h deep_path);
   ignore (H.create_file ~content:(String.make 1_048_576 'x') h "/big");
   [
+    Test.make ~name:"crc32(4KiB)"
+      (Staged.stage (fun () -> ignore (Crc32.bytes page ~pos:0 ~len:4096)));
+    Test.make ~name:"journal.commit(64 pages)"
+      (Staged.stage (fun () -> Journal.commit journal batch));
     Test.make ~name:"btree.find(10k)"
       (Staged.stage (fun () -> ignore (Btree.find tree "key004242")));
     Test.make ~name:"btree.put+remove(10k)"

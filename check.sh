@@ -18,9 +18,15 @@ dune runtest
 # Bench bit-rot gate: every experiment once at tiny N; numbers printed
 # under --smoke are not measurements. W2, R1, S1, T2, O1, O2 and C6
 # assert their acceptance shape on every run. --json writes BENCH_<id>.json
-# for the JSON-capable experiments, which bench/compare.exe gates
-# against bench/baselines/ and CI uploads.
+# for the JSON-capable experiments, which CI uploads.
 dune exec bench/main.exe -- --smoke --json
+
+# Baseline gate: the fresh BENCH_<id>.json against bench/baselines/.
+# Deterministic metrics (descent counts, device traffic, modeled commit
+# time) and acceptance booleans, each with a per-metric tolerance;
+# wall-clock numbers are never gated. Re-seed a baseline deliberately
+# when a change legitimately moves a gated metric.
+dune exec bench/compare.exe -- bench/baselines
 
 # Documentation gate: every .mli doc comment must keep compiling to
 # HTML. Skipped (with a warning) where odoc isn't installed; CI

@@ -111,6 +111,21 @@ let check_fault b op idx =
       raise (Io_error (Printf.sprintf "injected %s fault at block %d" kind idx))
   | Some _ | None -> ()
 
+(* Blit the first [k] bytes of [data] into block [idx], in place: the
+   device never hands out its buffers (reads copy out), so reusing the
+   block it holds is safe, and a rewrite allocates nothing. A block
+   never written before starts as zeroes. *)
+let store_prefix b idx data k =
+  let block =
+    match b.store.(idx) with
+    | Some block -> block
+    | None ->
+        let block = Bytes.make b.block_size '\000' in
+        b.store.(idx) <- Some block;
+        block
+  in
+  Bytes.blit data 0 block 0 k
+
 (* Consulted (under the lock) before a write reaches the store. Raises
    once the crash point is passed; the dying write itself persists a
    torn prefix when configured, then raises. *)
@@ -129,13 +144,7 @@ let check_crash_write b idx data =
              the tail of the block as it was — a torn write. The CRC
              table is deliberately not updated, so a checksummed device
              detects the tear on the next read. *)
-          let merged =
-            match b.store.(idx) with
-            | Some old -> Bytes.copy old
-            | None -> Bytes.make b.block_size '\000'
-          in
-          Bytes.blit data 0 merged 0 k;
-          b.store.(idx) <- Some merged);
+          store_prefix b idx data k);
       raise
         (Io_error
            (Printf.sprintf "injected crash at block %d (%s)" idx
@@ -205,7 +214,7 @@ let write_block_locked t idx data =
       if b.checksums then
         Hashtbl.replace b.crcs abs
           (Hfad_util.Crc32.bytes data ~pos:0 ~len:b.block_size);
-      b.store.(abs) <- Some (Bytes.copy data))
+      store_prefix b abs data b.block_size)
 
 let write_block t idx data =
   if Bytes.length data <> t.b.block_size then

@@ -63,7 +63,9 @@ val read_block_into : t -> int -> Bytes.t -> unit
 
 val write_block : t -> int -> Bytes.t -> unit
 (** [write_block dev idx data] stores [data] (must be exactly
-    [block_size] long) at [idx]. *)
+    [block_size] long) at [idx]. The device copies [data] into the
+    block it holds, so the caller may reuse [data] at once; a block
+    written before is overwritten in place, without allocating. *)
 
 val flush : t -> unit
 (** Barrier; counted in stats. A no-op for the memory backend. *)

@@ -58,32 +58,56 @@ let doc_terms t oid =
       :: acc)
   |> List.rev
 
+(* A term of [oid]'s text is its posting, its forward key and one unit
+   of its document frequency. *)
+let add_term t oid (term, tf) =
+  Btree.put t.tree ~key:(postings_key term oid) ~value:(encode_int tf);
+  Btree.put t.tree ~key:(forward_key oid term) ~value:"";
+  bump t (df_key term) 1
+
+let drop_term t oid term =
+  ignore (Btree.remove t.tree (postings_key term oid));
+  ignore (Btree.remove t.tree (forward_key oid term));
+  bump t (df_key term) (-1)
+
 let remove_unlocked t oid =
   match Btree.find t.tree (doc_key oid) with
   | None -> ()
   | Some _ ->
-      List.iter
-        (fun term ->
-          ignore (Btree.remove t.tree (postings_key term oid));
-          ignore (Btree.remove t.tree (forward_key oid term));
-          bump t (df_key term) (-1))
-        (doc_terms t oid);
+      List.iter (drop_term t oid) (doc_terms t oid);
       ignore (Btree.remove t.tree (doc_key oid));
       bump t count_key (-1)
 
+(* Reindex by merging the document's old terms (forward keys, in key
+   order) with its new term frequencies (sorted by term), writing only
+   what changed: a term in both texts keeps its forward key and document
+   frequency, and its posting is rewritten only if its frequency
+   changed. *)
 let add_document t oid text =
   locked t (fun () ->
-      remove_unlocked t oid;
       let terms = Tokenizer.term_frequencies text in
       let total_tokens = List.fold_left (fun acc (_, n) -> acc + n) 0 terms in
-      List.iter
-        (fun (term, tf) ->
-          Btree.put t.tree ~key:(postings_key term oid) ~value:(encode_int tf);
-          Btree.put t.tree ~key:(forward_key oid term) ~value:"";
-          bump t (df_key term) 1)
-        terms;
-      Btree.put t.tree ~key:(doc_key oid) ~value:(encode_int total_tokens);
-      bump t count_key 1)
+      let old_total = Btree.find t.tree (doc_key oid) in
+      let rec merge olds news =
+        match (olds, news) with
+        | [], _ -> List.iter (add_term t oid) news
+        | _, [] -> List.iter (drop_term t oid) olds
+        | o :: olds', ((n, tf) as nt) :: news' ->
+            let c = String.compare o n in
+            if c < 0 then (drop_term t oid o; merge olds' news)
+            else if c > 0 then (add_term t oid nt; merge olds news')
+            else begin
+              let key = postings_key n oid and value = encode_int tf in
+              if Btree.find t.tree key <> Some value then
+                Btree.put t.tree ~key ~value;
+              merge olds' news'
+            end
+      in
+      merge (if old_total = None then [] else doc_terms t oid) terms;
+      let total = encode_int total_tokens in
+      if old_total <> Some total then
+        Btree.put t.tree ~key:(doc_key oid) ~value:total;
+      if old_total = None then bump t count_key 1)
 
 let remove_document t oid = locked t (fun () -> remove_unlocked t oid)
 

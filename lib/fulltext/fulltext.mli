@@ -38,9 +38,20 @@ val create : Hfad_btree.Btree.t -> t
 
 val add_document : t -> Hfad_osd.Oid.t -> string -> unit
 (** [add_document t oid text] indexes [text] under [oid]. Re-adding an
-    already-indexed OID first removes the old postings (the index keeps
-    no copy of the text, so the previous contents are recovered from the
-    stored postings). *)
+    already-indexed OID replaces only what changed. The index keeps no
+    copy of the text, so the old terms come from the forward keys; they
+    are merged, in term order, with the new text's term frequencies:
+    - a term only in the old text loses its posting, its forward key
+      and one unit of document frequency;
+    - a term only in the new text gains them;
+    - a term in both keeps its forward key and document frequency, and
+      its posting is rewritten only if its frequency changed;
+    - the document record is rewritten only if its token count changed,
+      and the document count moves only for a new document.
+
+    The resulting bindings are exactly those of removing the document
+    and indexing it afresh; re-adding an unchanged text writes
+    nothing. *)
 
 val remove_document : t -> Hfad_osd.Oid.t -> unit
 (** Remove every posting of [oid]. No-op if the OID is not indexed. *)

@@ -149,24 +149,32 @@ let capacity_pages t =
 
 (* --- record codec ------------------------------------------------------------ *)
 
+(* The payload CRC covers the record's page images joined together; it
+   is chained image by image, so the images are neither joined nor
+   copied: the record's blocks are the caller's pages themselves. *)
+let payload_crc t images =
+  List.fold_left
+    (fun crc data -> Crc32.bytes ~crc data ~pos:0 ~len:t.block_size)
+    0l images
+
 let encode_record t pages =
   let count = List.length pages in
   assert (count >= 1 && count <= per_record_pages t);
-  let payload = Bytes.create (count * t.block_size) in
-  List.iteri
-    (fun i (_, data) ->
-      if Bytes.length data <> t.block_size then
-        invalid_arg "Journal.commit: page size mismatch";
-      Bytes.blit data 0 payload (i * t.block_size) t.block_size)
-    pages;
-  let payload_crc = Crc32.bytes payload ~pos:0 ~len:(Bytes.length payload) in
+  let images =
+    List.map
+      (fun (_, data) ->
+        if Bytes.length data <> t.block_size then
+          invalid_arg "Journal.commit: page size mismatch";
+        data)
+      pages
+  in
   let desc = Bytes.make t.block_size '\000' in
   Codec.put_u32 desc 0 count;
-  Bytes.set_int32_be desc 4 payload_crc;
+  Bytes.set_int32_be desc 4 (payload_crc t images);
   List.iteri (fun i (home, _) -> Codec.put_u32 desc (8 + (4 * i)) home) pages;
   let desc_crc = Crc32.bytes desc ~pos:0 ~len:(8 + (4 * count)) in
   Bytes.set_int32_be desc (8 + (4 * count)) desc_crc;
-  desc :: List.map (fun (_, data) -> Bytes.copy data) pages
+  desc :: images
 
 let rec split_batch cap = function
   | [] -> []
@@ -182,14 +190,15 @@ let rec split_batch cap = function
 let encode_batch t pages =
   List.concat_map (encode_record t) (split_batch (per_record_pages t) pages)
 
-let decode_batch t ~records blocks =
-  let arr = Array.of_list blocks in
-  let total = Array.length arr in
+(* Walk [records] sealed records laid out back to back in [total]
+   blocks, [block i] being the [i]th. Each payload CRC is chained over
+   the record's images as read, so they are never joined. *)
+let decode_records t ~records ~total block =
   let rec loop r idx acc =
     if r >= records then Ok (List.rev acc)
     else if idx >= total then Error (Bad_geometry "record chain past region")
     else
-      let desc = arr.(idx) in
+      let desc = block idx in
       let count = Codec.get_u32 desc 0 in
       if count < 1 || count > per_record_pages t then
         Error
@@ -201,25 +210,21 @@ let decode_batch t ~records blocks =
       then Error (Record_fails_crc { record = r })
       else if idx + 1 + count > total then
         Error (Bad_geometry "record payload past region")
-      else begin
-        let payload = Bytes.create (count * t.block_size) in
-        for i = 0 to count - 1 do
-          Bytes.blit arr.(idx + 1 + i) 0 payload (i * t.block_size) t.block_size
-        done;
-        if
-          Crc32.bytes payload ~pos:0 ~len:(Bytes.length payload)
-          <> Bytes.get_int32_be desc 4
-        then Error (Record_fails_crc { record = r })
+      else
+        let images = List.init count (fun i -> block (idx + 1 + i)) in
+        if payload_crc t images <> Bytes.get_int32_be desc 4 then
+          Error (Record_fails_crc { record = r })
         else
           let pairs =
-            List.init count (fun i ->
-                ( Codec.get_u32 desc (8 + (4 * i)),
-                  Bytes.sub payload (i * t.block_size) t.block_size ))
+            List.mapi (fun i data -> (Codec.get_u32 desc (8 + (4 * i)), data)) images
           in
           loop (r + 1) (idx + 1 + count) (List.rev_append pairs acc)
-      end
   in
   loop 0 0 []
+
+let decode_batch t ~records blocks =
+  let arr = Array.of_list blocks in
+  decode_records t ~records ~total:(Array.length arr) (Array.get arr)
 
 (* --- commit / recover -------------------------------------------------------- *)
 
@@ -269,43 +274,8 @@ let recover t =
       else begin
         (* Walk the sealed records in sequence order, reading only the
            blocks each descriptor claims. *)
-        let limit = t.first_block + t.blocks in
-        let rec loop r b acc =
-          if r >= record_count then Ok (List.rev acc)
-          else if b >= limit then Error (Bad_geometry "record chain past region")
-          else
-            let desc = Device.read_block t.dev b in
-            let count = Codec.get_u32 desc 0 in
-            if count < 1 || count > per_record_pages t then
-              Error
-                (Bad_geometry
-                   (Printf.sprintf "record %d claims %d pages" r count))
-            else if
-              Crc32.bytes desc ~pos:0 ~len:(8 + (4 * count))
-              <> Bytes.get_int32_be desc (8 + (4 * count))
-            then Error (Record_fails_crc { record = r })
-            else if b + count >= limit then
-              Error (Bad_geometry "record payload past region")
-            else begin
-              let payload = Bytes.create (count * t.block_size) in
-              for i = 0 to count - 1 do
-                let page = Device.read_block t.dev (b + 1 + i) in
-                Bytes.blit page 0 payload (i * t.block_size) t.block_size
-              done;
-              if
-                Crc32.bytes payload ~pos:0 ~len:(Bytes.length payload)
-                <> Bytes.get_int32_be desc 4
-              then Error (Record_fails_crc { record = r })
-              else
-                let pairs =
-                  List.init count (fun i ->
-                      ( Codec.get_u32 desc (8 + (4 * i)),
-                        Bytes.sub payload (i * t.block_size) t.block_size ))
-                in
-                loop (r + 1) (b + 1 + count) (List.rev_append pairs acc)
-            end
-        in
-        match loop 0 (t.first_block + 1) [] with
+        let block i = Device.read_block t.dev (t.first_block + 1 + i) in
+        match decode_records t ~records:record_count ~total:(t.blocks - 1) block with
         | Ok pages -> Committed pages
         | Error reason -> Corrupt reason
       end

@@ -40,6 +40,12 @@
                descriptor CRC-32) followed by the raw page images
     v}
 
+    The payload CRC-32 is that of the record's page images joined
+    together. It is computed by chaining {!Hfad_util.Crc32.bytes}'s
+    [?crc] seed image by image, on commit and on recovery alike, so no
+    joined payload is ever built and a commit writes the caller's page
+    buffers as handed in.
+
     Multi-op record chains: a {!commit} may carry the dirty set of many
     logical operations — a whole transaction — as one sealed chain. The
     seal's [ops] field annotates how many, so {!recover} can report
@@ -131,10 +137,13 @@ val records_for : t -> pages:int -> int
 
 val encode_batch : t -> (int * Bytes.t) list -> Bytes.t list
 (** Block images (descriptor + page images per record, back-to-back)
-    exactly as {!commit} lays them out from [first_block + 1].
+    exactly as {!commit} lays them out from [first_block + 1]. The page
+    images are the given buffers themselves, not copies; only the
+    descriptors are fresh.
     @raise Invalid_argument on a page-size mismatch. *)
 
 val decode_batch :
   t -> records:int -> Bytes.t list -> ((int * Bytes.t) list, reason) result
 (** Inverse of {!encode_batch} given the sealed record count; returns
-    the typed reason on any CRC or geometry violation. *)
+    the typed reason on any CRC or geometry violation. The returned
+    page images are the given blocks themselves, not copies. *)

@@ -62,6 +62,18 @@ let test_device_write_isolated_copy () =
   Device.write_block dev 0 data;
   Bytes.fill data 0 (Bytes.length data) 'z';
   check Alcotest.bytes "device kept its own copy" (block_of_char dev 'y')
+    (Device.read_block dev 0);
+  (* A rewrite lands in the block the device already holds, and is just
+     as isolated from the caller's buffer. *)
+  let second = block_of_char dev 'w' in
+  Device.write_block dev 0 second;
+  Bytes.fill second 0 (Bytes.length second) 'v';
+  Bytes.fill data 0 (Bytes.length data) 'u';
+  check Alcotest.bytes "rewrite kept its own copy" (block_of_char dev 'w')
+    (Device.read_block dev 0);
+  (* Nor does a read hand out the device's block. *)
+  Bytes.fill (Device.read_block dev 0) 0 (Device.block_size dev) 't';
+  check Alcotest.bytes "read returned a copy" (block_of_char dev 'w')
     (Device.read_block dev 0)
 
 let test_device_out_of_range () =
@@ -192,6 +204,28 @@ let test_device_torn_write () =
   Bytes.fill expect 0 5 'n';
   check Alcotest.bytes "prefix new, tail old" expect (Device.read_block dev 5)
 
+let test_device_torn_rewrite_keeps_old_tail () =
+  (* A torn write to a block written twice before tears the block the
+     device holds in place: the prefix is new, the tail is the last
+     complete write's, and the writers' buffers are untouched. *)
+  let dev = mk () in
+  let first = block_of_char dev 'a' and second = block_of_char dev 'o' in
+  Device.write_block dev 5 first;
+  Device.write_block dev 5 second;
+  let torn = block_of_char dev 'n' in
+  Device.arm_crash dev ~after_writes:0 ~torn_bytes:7 ();
+  (try
+     Device.write_block dev 5 torn;
+     Alcotest.fail "crash point ignored"
+   with Device.Io_error _ -> ());
+  let expect = block_of_char dev 'o' in
+  Bytes.fill expect 0 7 'n';
+  check Alcotest.bytes "prefix new, tail of the last write" expect
+    (Device.read_block dev 5);
+  check Alcotest.bytes "first buffer untouched" (block_of_char dev 'a') first;
+  check Alcotest.bytes "second buffer untouched" (block_of_char dev 'o') second;
+  check Alcotest.bytes "torn buffer untouched" (block_of_char dev 'n') torn
+
 let test_device_torn_write_checksum_detectable () =
   (* On a checksummed device a torn write keeps the OLD block CRC, so the
      tear is detectable exactly like bit rot. *)
@@ -250,6 +284,8 @@ let suite =
     Alcotest.test_case "device fault injection" `Quick test_device_fault_injection;
     Alcotest.test_case "device crash point" `Quick test_device_crash_point;
     Alcotest.test_case "device torn write" `Quick test_device_torn_write;
+    Alcotest.test_case "device torn rewrite keeps old tail" `Quick
+      test_device_torn_rewrite_keeps_old_tail;
     Alcotest.test_case "device torn write is checksum-detectable" `Quick
       test_device_torn_write_checksum_detectable;
     Alcotest.test_case "device crash image snapshot" `Quick

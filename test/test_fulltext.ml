@@ -16,7 +16,9 @@ let qtest = QCheck_alcotest.to_alcotest
 let oid i = Oid.of_int64 (Int64.of_int i)
 let oid_t = Alcotest.testable Oid.pp Oid.equal
 
-let mk_index () =
+(* A fresh index with its backing tree and pager, for tests that look
+   under the index. *)
+let mk_index_tree () =
   let dev = Device.create ~block_size:1024 ~blocks:8192 () in
   let pager = Pager.create ~cache_pages:256 dev in
   let buddy = Buddy.create ~first_block:0 ~blocks:8192 () in
@@ -27,7 +29,12 @@ let mk_index () =
     }
   in
   let root = Buddy.alloc buddy 1 in
-  Fulltext.create (Btree.create pager alloc ~root)
+  let tree = Btree.create pager alloc ~root in
+  (Fulltext.create tree, tree, pager)
+
+let mk_index () =
+  let ft, _, _ = mk_index_tree () in
+  ft
 
 (* --- Tokenizer --------------------------------------------------------- *)
 
@@ -201,6 +208,79 @@ let prop_search_finds_containing_docs =
                (Tokenizer.tokens text))
            (List.mapi (fun i text -> (i, text)) texts)))
 
+(* --- Diffed reindex ---------------------------------------------------- *)
+
+(* A reindex writes only the difference between the old and the new
+   text, so the index it leaves must be exactly the one a fresh index of
+   the current texts holds. The vocabulary is small and words repeat, so
+   streams keep hitting shared terms, changed frequencies and texts of
+   stopwords only. *)
+let vocabulary = [| "apple"; "berry"; "cherry"; "apple"; "date"; "fig"; "the"; "and" |]
+
+type ft_step = Add of int * string | Remove of int
+
+let gen_ft_steps =
+  QCheck.Gen.(
+    let text =
+      map (String.concat " ")
+        (list_size (0 -- 9) (map (Array.get vocabulary) (0 -- 7)))
+    in
+    list_size (1 -- 25)
+      (frequency
+         [
+           (4, map2 (fun i text -> Add (i, text)) (1 -- 6) text);
+           (1, map (fun i -> Remove i) (1 -- 6));
+         ]))
+
+let print_ft_steps steps =
+  String.concat "; "
+    (List.map
+       (function
+         | Add (i, text) -> Printf.sprintf "add %d %S" i text
+         | Remove i -> Printf.sprintf "remove %d" i)
+       steps)
+
+let prop_reindex_matches_fresh_index =
+  qtest
+    (QCheck.Test.make ~name:"diffed reindex equals a fresh index" ~count:150
+       (QCheck.make ~print:print_ft_steps gen_ft_steps)
+       (fun steps ->
+         let ft, tree, _ = mk_index_tree () in
+         let current = Hashtbl.create 8 in
+         List.for_all
+           (fun step ->
+             (match step with
+             | Add (i, text) ->
+                 Fulltext.add_document ft (oid i) text;
+                 Hashtbl.replace current i text
+             | Remove i ->
+                 Fulltext.remove_document ft (oid i);
+                 Hashtbl.remove current i);
+             Fulltext.verify ft;
+             let fresh, fresh_tree, _ = mk_index_tree () in
+             Hashtbl.to_seq current |> List.of_seq |> List.sort compare
+             |> List.iter (fun (i, text) -> Fulltext.add_document fresh (oid i) text);
+             Btree.to_list tree = Btree.to_list fresh_tree)
+           steps))
+
+let test_reindex_same_text_dirties_at_most_one_leaf () =
+  let ft, tree, pager = mk_index_tree () in
+  let text i =
+    Printf.sprintf "report %d on the quarterly numbers %d and figures %d" i
+      (i mod 7) (i mod 3)
+  in
+  for i = 1 to 200 do
+    Fulltext.add_document ft (oid i) (text i)
+  done;
+  check Alcotest.bool "index spans several leaves" true (Btree.height tree > 1);
+  Pager.flush pager;
+  let before = Btree.to_list tree in
+  Fulltext.add_document ft (oid 77) (text 77);
+  check Alcotest.bool "no binding changed" true (before = Btree.to_list tree);
+  check Alcotest.bool "at most the document record's leaf is dirty" true
+    (Pager.dirty_count pager <= 1);
+  Fulltext.verify ft
+
 (* --- Lazy indexing --------------------------------------------------- *)
 
 (* The backlog of unindexed text lives in Index_store: a write marks the
@@ -246,6 +326,9 @@ let suite =
     Alcotest.test_case "search_text" `Quick test_search_text;
     Alcotest.test_case "empty queries" `Quick test_empty_queries;
     Alcotest.test_case "stopword-only document" `Quick test_stopword_only_document;
+    prop_reindex_matches_fresh_index;
+    Alcotest.test_case "re-adding the current text changes nothing" `Quick
+      test_reindex_same_text_dirties_at_most_one_leaf;
     prop_search_finds_containing_docs;
     Alcotest.test_case "lazy: stale until drained" `Quick
       test_lazy_staleness_until_drain;

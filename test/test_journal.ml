@@ -7,6 +7,7 @@
 module Device = Hfad_blockdev.Device
 module Pager = Hfad_pager.Pager
 module Journal = Hfad_journal.Journal
+module Crc32 = Hfad_util.Crc32
 module Osd = Hfad_osd.Osd
 module Fs = Hfad.Fs
 module Tag = Hfad_index.Tag
@@ -239,6 +240,34 @@ let test_codec_edge_batches () =
   let max_batch = List.init cap (fun i -> (i * 7, Bytes.make 64 (Char.chr (i land 0xff)))) in
   check Alcotest.bool "max-capacity batch" true (batch_roundtrips j max_batch)
 
+(* The on-device record format: each descriptor's payload CRC is the
+   CRC-32 of its page images joined together, however it is computed. *)
+let test_record_payload_crc_format () =
+  let j = mk_codec_journal () in
+  (* 64-byte blocks hold 13 pages per record, so 20 pages make two. *)
+  let pages =
+    List.init 20 (fun i -> (i, Bytes.init 64 (fun k -> Char.chr (((i * 7) + k) land 0xFF))))
+  in
+  let joined pages = String.concat "" (List.map (fun (_, d) -> Bytes.to_string d) pages) in
+  match Journal.encode_batch j pages with
+  | desc0 :: rest ->
+      check Alcotest.int "two records" 2 (Journal.records_for j ~pages:20);
+      check Alcotest.int32 "first record's payload CRC"
+        (Crc32.string (joined (List.filteri (fun i _ -> i < 13) pages)))
+        (Bytes.get_int32_be desc0 4);
+      check Alcotest.int32 "second record's payload CRC"
+        (Crc32.string (joined (List.filteri (fun i _ -> i >= 13) pages)))
+        (Bytes.get_int32_be (List.nth rest 13) 4);
+      (* So does a descriptor a commit wrote to the device. *)
+      let dev = mk_dev () in
+      let j = Journal.format dev ~first_block:2 ~blocks:64 in
+      let batch = [ (100, page dev 'a'); (200, page dev 'b'); (300, page dev 'c') ] in
+      Journal.commit j batch;
+      check Alcotest.int32 "committed descriptor's payload CRC"
+        (Crc32.string (joined batch))
+        (Bytes.get_int32_be (Device.read_block dev 3) 4)
+  | [] -> Alcotest.fail "no blocks encoded"
+
 let prop_codec_roundtrip =
   let gen =
     QCheck.Gen.(
@@ -411,6 +440,8 @@ let suite =
     Alcotest.test_case "corrupt sealed record is typed" `Quick
       test_journal_corrupt_sealed_record;
     Alcotest.test_case "codec edge batches" `Quick test_codec_edge_batches;
+    Alcotest.test_case "record payload CRC covers joined images" `Quick
+      test_record_payload_crc_format;
     QCheck_alcotest.to_alcotest prop_codec_roundtrip;
     Alcotest.test_case "crash before flush -> old state" `Quick
       test_crash_before_flush_keeps_old_state;

@@ -218,6 +218,54 @@ let test_crc32_range () =
     (Invalid_argument "Crc32.bytes: range out of bounds") (fun () ->
       ignore (Crc32.bytes b ~pos:10 ~len:10))
 
+(* The definition, one bit at a time: the reference the sliced kernel
+   must agree with. *)
+let crc32_reference b ~pos ~len =
+  let c = ref 0xFFFFFFFF in
+  for i = pos to pos + len - 1 do
+    c := !c lxor Char.code (Bytes.get b i);
+    for _ = 1 to 8 do
+      c := if !c land 1 = 1 then (!c lsr 1) lxor 0xEDB88320 else !c lsr 1
+    done
+  done;
+  Int32.of_int (!c lxor 0xFFFFFFFF)
+
+(* A buffer of up to 9 KB and a range in it. Half the ranges are at
+   most 15 bytes long, shorter than two 8-byte steps; random starts give
+   unaligned heads and tails. *)
+let gen_crc_range =
+  QCheck.Gen.(
+    0 -- 9216 >>= fun n ->
+    string_size (return n) >>= fun s ->
+    0 -- n >>= fun pos ->
+    oneof [ 0 -- min 15 (n - pos); 0 -- (n - pos) ] >>= fun len ->
+    return (Bytes.of_string s, pos, len))
+
+let print_crc_range (b, pos, len) =
+  Printf.sprintf "buffer of %d bytes, pos %d, len %d" (Bytes.length b) pos len
+
+let test_crc32_matches_reference =
+  qtest
+    (QCheck.Test.make ~name:"crc32 matches the bitwise reference" ~count:300
+       (QCheck.make ~print:print_crc_range gen_crc_range)
+       (fun (b, pos, len) -> Crc32.bytes b ~pos ~len = crc32_reference b ~pos ~len))
+
+let test_crc32_chains =
+  let gen =
+    QCheck.Gen.(
+      gen_crc_range >>= fun (b, pos, len) ->
+      map (fun k -> (b, pos, len, k)) (0 -- len))
+  in
+  let print (b, pos, len, k) =
+    Printf.sprintf "%s, split at %d" (print_crc_range (b, pos, len)) k
+  in
+  qtest
+    (QCheck.Test.make ~name:"crc32 chains across a split" ~count:300
+       (QCheck.make ~print gen)
+       (fun (b, pos, len, k) ->
+         Crc32.bytes ~crc:(Crc32.bytes b ~pos ~len:k) b ~pos:(pos + k) ~len:(len - k)
+         = Crc32.bytes b ~pos ~len))
+
 (* --- Strx ------------------------------------------------------------- *)
 
 let test_strx_common_prefix () =
@@ -394,6 +442,8 @@ let suite =
     Alcotest.test_case "crc32 empty" `Quick test_crc32_empty;
     test_crc32_detects_flip;
     Alcotest.test_case "crc32 range" `Quick test_crc32_range;
+    test_crc32_matches_reference;
+    test_crc32_chains;
     Alcotest.test_case "strx common_prefix_len" `Quick test_strx_common_prefix;
     Alcotest.test_case "strx starts_with" `Quick test_strx_starts_with;
     Alcotest.test_case "strx next_prefix" `Quick test_strx_next_prefix;
