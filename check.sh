@@ -15,6 +15,18 @@ dune build
 # door's no-lost-acks and no-torn-reads cases (server).
 dune runtest
 
+# Example gate: each example executable runs once (about 2 s in all);
+# an exception or a non-zero exit fails the gate.
+for ex in quickstart photo_library email_search provenance_tags crash_recovery
+do
+  dune exec "examples/$ex.exe"
+done
+
+# Repository benchmark self-test (0.3 s): the generator and metric
+# helpers, and BENCHMARK.json against the metrics the program reports.
+# It writes nothing under perfbench/.
+python3 perfbench/run.py --self-test
+
 # Bench bit-rot gate: every experiment once at tiny N; numbers printed
 # under --smoke are not measurements. W2, R1, S1, T2, O1, O2 and C6
 # assert their acceptance shape on every run. --json writes BENCH_<id>.json

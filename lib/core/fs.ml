@@ -92,10 +92,10 @@ end
 (* --- the typed mutation vocabulary ---------------------------------------- *)
 
 (* One value describes one mutation, whichever door it came through: the
-   single-op entry points below build a one-element plan, {!with_txn}
-   stages many, and the wire server's MULTI frame decodes straight into
-   this type. All OIDs here are GLOBAL — the executor translates to the
-   owning shard's local space when it applies the plan. *)
+   single-op entry points below commit a one-op plan, {!with_txn}
+   stages many, and the wire server stages its verbs through
+   {!with_txn}. All OIDs here are GLOBAL — the executor translates to
+   the owning shard's local space when it applies the plan. *)
 module Op = struct
   type t =
     | Create of {
@@ -111,6 +111,8 @@ module Op = struct
     | Name of { oid : Oid.t; tag : Tag.t; value : string }
     | Unname of { oid : Oid.t; tag : Tag.t; value : string }
     | Rename of { oid : Oid.t; tag : Tag.t; from_ : string; to_ : string }
+    | Insert of { oid : Oid.t; off : int; data : string }
+    | Remove_bytes of { oid : Oid.t; off : int; len : int }
 
   (* The object the op routes by — for Create, the reserved identity. *)
   let target = function
@@ -118,33 +120,13 @@ module Op = struct
     | Write { oid; _ }
     | Append { oid; _ }
     | Truncate { oid; _ }
+    | Insert { oid; _ }
+    | Remove_bytes { oid; _ }
     | Delete { oid }
     | Name { oid; _ }
     | Unname { oid; _ }
     | Rename { oid; _ } ->
         oid
-
-  let pp fmt = function
-    | Create { reserved; names; content; _ } ->
-        Format.fprintf fmt "create %a (%d names, %d bytes)" Oid.pp reserved
-          (List.length names) (String.length content)
-    | Write { oid; off; data } ->
-        Format.fprintf fmt "write %a @%d (%d bytes)" Oid.pp oid off
-          (String.length data)
-    | Append { oid; data } ->
-        Format.fprintf fmt "append %a (%d bytes)" Oid.pp oid
-          (String.length data)
-    | Truncate { oid; size } ->
-        Format.fprintf fmt "truncate %a to %d" Oid.pp oid size
-    | Delete { oid } -> Format.fprintf fmt "delete %a" Oid.pp oid
-    | Name { oid; tag; value } ->
-        Format.fprintf fmt "name %a %s/%s" Oid.pp oid (Tag.to_string tag) value
-    | Unname { oid; tag; value } ->
-        Format.fprintf fmt "unname %a %s/%s" Oid.pp oid (Tag.to_string tag)
-          value
-    | Rename { oid; tag; from_; to_ } ->
-        Format.fprintf fmt "rename %a %s/%s -> %s" Oid.pp oid
-          (Tag.to_string tag) from_ to_
 end
 
 (* --- shard stacks -------------------------------------------------------- *)
@@ -167,6 +149,7 @@ type shard = {
   s_osd : Osd.t;
   s_index : Index_store.t;
   s_lock : Rwlock.t;  (* the shard OSD's lock, shared by its whole stack *)
+  s_cap : int;  (* journal capacity in pages, fixed at open; 0 = none *)
   mutable s_flusher : Flusher.t option;
   sm : shard_metrics option;  (* only when the file system is sharded *)
 }
@@ -299,6 +282,7 @@ let mk_shard ~prefix sid osd =
     s_osd = osd;
     s_index = Index_store.create osd;
     s_lock = Osd.rwlock osd;
+    s_cap = Osd.journal_capacity_pages osd;
     s_flusher = None;
     sm;
   }
@@ -451,12 +435,6 @@ let snap_note t sh ~global l =
             }
         else Pre_absent)
 
-(* A brand-new object's preimage is known without reading anything. *)
-let snap_note_absent t ~global =
-  if Atomic.get t.snap.snap_active = 0 then
-    ignore (Atomic.fetch_and_add t.snap.mut_seq 1)
-  else snap_record t ~global (fun () -> Pre_absent)
-
 (* Smallest stamp > s in a newest-first chain: the fold keeps the last
    (oldest) qualifying entry. *)
 let find_pre s chain =
@@ -533,184 +511,136 @@ let in_shard t s f =
                   eager_drain ();
                   raise e)))
 
-(* Mutations outside the {!Op.t} vocabulary (insert, remove_bytes,
-   update_metadata, compact): one section each, counted into the next
-   seal like any op. *)
-let mutate t oid f =
-  Osd.guard (fun () ->
-      in_shard t (Router.shard_of_oid t.router oid) (fun sh ->
-          let l = Router.to_local t.router oid in
-          snap_note t sh ~global:oid l;
-          let v = f sh l in
-          Osd.note_op sh.s_osd;
-          v))
-
 (* --- the shared mutation executor ----------------------------------------- *)
 
-(* One implementation applies an {!Op.t}, whether it arrived as a single
-   operation or as one step of a transaction plan. Caller holds the
-   owning shard's exclusive lock. [~undo:true] captures just enough
-   state {e before} applying to reverse the op logically — the
-   transaction rollback path; single ops skip the capture.
-
-   [removed] reports whether an [Unname]/[Rename] actually removed the
-   old name (the [unname] API's boolean); other ops report [false]. *)
-
-type applied = { undo : unit -> unit; removed : bool }
-
-let no_undo = { undo = (fun () -> ()); removed = false }
-
-let apply_op ?(undo = true) t sh op =
-  let local g = Router.to_local t.router g in
+(* One implementation applies an {!Op.t}, whether it is a single
+   mutation or one step of a longer plan. Caller holds the owning
+   shard's exclusive lock. Each arm runs its own checks, then — before
+   it changes anything — hands [keep] a thunk that reads the state
+   reversing the op and returns the undo. {!commit} runs those thunks
+   only for plans of two or more ops; a one-op plan passes [ignore], so
+   it reads nothing. An op that fails after handing over its thunk is
+   undone too, so its undo must cope with it half applied. The result
+   is whether an [Unname]/[Rename] removed the old name (the [unname]
+   API's boolean); other ops report [false]. *)
+let apply_op t sh ~keep op =
+  let g = Op.target op in
+  let l = Router.to_local t.router g in
+  snap_note t sh ~global:g l;
   match op with
-  | Op.Create { reserved; meta; names; content } ->
-      let l = local reserved in
-      snap_note_absent t ~global:reserved;
+  | Op.Create { meta; names; content; _ } ->
+      List.iter (fun (tag, v) -> Index_store.check sh.s_index tag v) names;
+      keep (fun () () ->
+          if Osd.exists sh.s_osd l then begin
+            Index_store.drop_object sh.s_index l;
+            Osd.delete_object sh.s_osd l
+          end);
       ignore (Osd.create_object ?meta ~oid:l sh.s_osd);
       List.iter (fun (tag, value) -> Index_store.add sh.s_index l tag value) names;
       if content <> "" then begin
         Osd.write sh.s_osd l ~off:0 content;
         mark t sh l
       end;
-      if not undo then no_undo
-      else
-        {
-          no_undo with
-          undo =
-            (fun () ->
-              Index_store.drop_object sh.s_index l;
-              Osd.delete_object sh.s_osd l);
-        }
-  | Op.Write { oid; off; data } ->
-      let l = local oid in
-      snap_note t sh ~global:oid l;
-      if not undo then begin
-        Osd.write sh.s_osd l ~off data;
-        mark t sh l;
-        no_undo
-      end
-      else begin
-        let old_size = Osd.size sh.s_osd l in
-        let overlap =
-          if off < old_size then
-            Osd.read sh.s_osd l ~off
-              ~len:(min (String.length data) (old_size - off))
-          else ""
-        in
-        Osd.write sh.s_osd l ~off data;
-        mark t sh l;
-        {
-          no_undo with
-          undo =
-            (fun () ->
-              Osd.truncate sh.s_osd l old_size;
-              if overlap <> "" then Osd.write sh.s_osd l ~off overlap);
-        }
-      end
-  | Op.Append { oid; data } ->
-      let l = local oid in
-      snap_note t sh ~global:oid l;
-      let old_size = if undo then Osd.size sh.s_osd l else 0 in
+      false
+  | Op.Write { off; data; _ } ->
+      keep (fun () ->
+          let old_size = Osd.size sh.s_osd l in
+          let overlap =
+            if off < old_size then
+              Osd.read sh.s_osd l ~off
+                ~len:(min (String.length data) (old_size - off))
+            else ""
+          in
+          fun () ->
+            Osd.truncate sh.s_osd l old_size;
+            if overlap <> "" then Osd.write sh.s_osd l ~off overlap);
+      Osd.write sh.s_osd l ~off data;
+      mark t sh l;
+      false
+  | Op.Append { data; _ } ->
+      keep (fun () ->
+          let old_size = Osd.size sh.s_osd l in
+          fun () -> Osd.truncate sh.s_osd l old_size);
       Osd.append sh.s_osd l data;
       mark t sh l;
-      if not undo then no_undo
-      else { no_undo with undo = (fun () -> Osd.truncate sh.s_osd l old_size) }
-  | Op.Truncate { oid; size } ->
-      let l = local oid in
-      snap_note t sh ~global:oid l;
-      if not undo then begin
-        Osd.truncate sh.s_osd l size;
-        mark t sh l;
-        no_undo
-      end
-      else begin
-        let old_size = Osd.size sh.s_osd l in
-        let tail =
-          if size < old_size then
-            Osd.read sh.s_osd l ~off:size ~len:(old_size - size)
-          else ""
-        in
-        Osd.truncate sh.s_osd l size;
-        mark t sh l;
-        {
-          no_undo with
-          undo =
-            (fun () ->
-              Osd.truncate sh.s_osd l old_size;
-              if tail <> "" then Osd.write sh.s_osd l ~off:size tail);
-        }
-      end
-  | Op.Delete { oid } ->
-      let l = local oid in
-      snap_note t sh ~global:oid l;
-      let saved =
-        if undo then
-          Some
-            ( Osd.read_all sh.s_osd l,
-              Osd.metadata sh.s_osd l,
-              Index_store.values_of sh.s_index l )
-        else None
-      in
+      false
+  | Op.Truncate { size; _ } ->
+      keep (fun () ->
+          let old_size = Osd.size sh.s_osd l in
+          let tail =
+            if size < old_size then
+              Osd.read sh.s_osd l ~off:size ~len:(old_size - size)
+            else ""
+          in
+          fun () ->
+            Osd.truncate sh.s_osd l old_size;
+            if tail <> "" then Osd.write sh.s_osd l ~off:size tail);
+      Osd.truncate sh.s_osd l size;
+      mark t sh l;
+      false
+  | Op.Insert { off; data; _ } ->
+      (* Past the end, an insert zero-fills up to [off] first. *)
+      keep (fun () ->
+          let old_size = Osd.size sh.s_osd l in
+          fun () ->
+            if off < old_size then
+              Osd.remove_bytes sh.s_osd l ~off ~len:(String.length data)
+            else Osd.truncate sh.s_osd l old_size);
+      Osd.insert sh.s_osd l ~off data;
+      mark t sh l;
+      false
+  | Op.Remove_bytes { off; len; _ } ->
+      (* Removal clamps at the end, and inserting nothing past the end
+         would zero-fill up to [off]. *)
+      keep (fun () ->
+          let removed = Osd.read sh.s_osd l ~off ~len in
+          fun () -> if removed <> "" then Osd.insert sh.s_osd l ~off removed);
+      Osd.remove_bytes sh.s_osd l ~off ~len;
+      mark t sh l;
+      false
+  | Op.Delete _ ->
+      keep (fun () ->
+          let content = Osd.read_all sh.s_osd l in
+          let meta = Osd.metadata sh.s_osd l in
+          let names = Index_store.values_of sh.s_index l in
+          fun () ->
+            let gone = not (Osd.exists sh.s_osd l) in
+            if gone then ignore (Osd.create_object ~meta ~oid:l sh.s_osd);
+            List.iter
+              (fun (tag, value) -> Index_store.add sh.s_index l tag value)
+              names;
+            if gone && content <> "" then Osd.write sh.s_osd l ~off:0 content;
+            mark t sh l);
       Index_store.drop_object sh.s_index l;
       Osd.delete_object sh.s_osd l;
-      (match saved with
-      | None -> no_undo
-      | Some (content, meta, names) ->
-          {
-            no_undo with
-            undo =
-              (fun () ->
-                ignore (Osd.create_object ~meta ~oid:l sh.s_osd);
-                List.iter
-                  (fun (tag, value) -> Index_store.add sh.s_index l tag value)
-                  names;
-                if content <> "" then Osd.write sh.s_osd l ~off:0 content;
-                mark t sh l);
-          })
-  | Op.Name { oid; tag; value } ->
-      let l = local oid in
+      false
+  | Op.Name { tag; value; _ } ->
       if not (Osd.exists sh.s_osd l) then raise (Osd.No_such_object l);
-      snap_note t sh ~global:oid l;
+      Index_store.check sh.s_index tag value;
+      keep (fun () ->
+          let had = Index_store.contains sh.s_index l (tag, value) in
+          fun () ->
+            if not had then ignore (Index_store.remove sh.s_index l tag value));
       Index_store.add sh.s_index l tag value;
-      if not undo then no_undo
-      else
-        {
-          no_undo with
-          undo = (fun () -> ignore (Index_store.remove sh.s_index l tag value));
-        }
-  | Op.Unname { oid; tag; value } ->
-      let l = local oid in
-      snap_note t sh ~global:oid l;
-      let was = Index_store.remove sh.s_index l tag value in
-      {
-        undo =
-          (fun () -> if undo && was then Index_store.add sh.s_index l tag value);
-        removed = was;
-      }
-  | Op.Rename { oid; tag; from_; to_ } ->
-      let l = local oid in
+      false
+  | Op.Unname { tag; value; _ } ->
+      Index_store.check sh.s_index tag value;
+      keep (fun () ->
+          let had = Index_store.contains sh.s_index l (tag, value) in
+          fun () -> if had then Index_store.add sh.s_index l tag value);
+      Index_store.remove sh.s_index l tag value
+  | Op.Rename { tag; from_; to_; _ } ->
       if not (Osd.exists sh.s_osd l) then raise (Osd.No_such_object l);
-      snap_note t sh ~global:oid l;
+      Index_store.check sh.s_index tag to_;
+      keep (fun () ->
+          let had_from = Index_store.contains sh.s_index l (tag, from_) in
+          let had_to = Index_store.contains sh.s_index l (tag, to_) in
+          fun () ->
+            if not had_to then ignore (Index_store.remove sh.s_index l tag to_);
+            if had_from then Index_store.add sh.s_index l tag from_);
       let was = Index_store.remove sh.s_index l tag from_ in
       Index_store.add sh.s_index l tag to_;
-      {
-        undo =
-          (fun () ->
-            if undo then begin
-              ignore (Index_store.remove sh.s_index l tag to_);
-              if was then Index_store.add sh.s_index l tag from_
-            end);
-        removed = was;
-      }
-
-(* A single operation is a one-element plan through the same executor:
-   route, apply, count it into the next seal, acknowledge once. *)
-let exec_one t op =
-  Osd.guard (fun () ->
-      in_shard t (Router.shard_of_oid t.router (Op.target op)) (fun sh ->
-          let a = apply_op ~undo:false t sh op in
-          Osd.note_op sh.s_osd;
-          a.removed))
+      was
 
 let barrier_shard sh =
   match sh.s_flusher with
@@ -826,44 +756,21 @@ let place t names =
         let n = nshards t in
         (((Atomic.fetch_and_add t.rr 1) mod n) + n) mod n
 
-let create ?meta ?(names = []) ?content t =
-  traced "create" @@ fun () ->
-  Osd.guard (fun () ->
-      let s = place t names in
-      in_shard t s (fun sh ->
-          let l = Osd.reserve_oid sh.s_osd in
-          let g = Router.to_global t.router ~shard:s l in
-          let op =
-            Op.Create
-              {
-                reserved = g;
-                meta;
-                names;
-                content = Option.value ~default:"" content;
-              }
-          in
-          ignore (apply_op ~undo:false t sh op);
-          Osd.note_op sh.s_osd;
-          g))
+(* --- plans and transactions ---------------------------------------------- *)
 
-let delete t oid =
-  traced "delete" @@ fun () ->
-  Result.map (fun (_ : bool) -> ()) (exec_one t (Op.Delete { oid }))
-
-(* --- transactions ---------------------------------------------------------- *)
-
-(* A transaction stages a typed plan, then commits it inside ONE
-   exclusive section on the owning shard. Under NO-STEAL/FORCE that is
-   all the machinery atomicity needs: nothing the plan does reaches the
-   device until the next checkpoint, and a checkpoint seals the whole
-   dirty set as one CRC-chained journal commit — so a crash lands the
-   plan wholly in or wholly out. The executor still guards the two ways
-   that argument can leak:
+(* Every mutation is a plan: a single operation commits as a one-op
+   plan, and a transaction stages many. {!commit} runs a plan inside
+   ONE exclusive section on the owning shard. Under NO-STEAL/FORCE that
+   is all the machinery atomicity needs: nothing the plan does reaches
+   the device until the next checkpoint, and a checkpoint seals the
+   whole dirty set as one CRC-chained journal commit — so a crash lands
+   the plan wholly in or wholly out. The commit still guards the two
+   ways that argument can leak:
 
    - plans spanning shards would need two journals to agree (2PC); they
      are rejected at staging time instead;
    - a plan whose estimated dirty set cannot fit the journal in one
-     commit is rejected, and a shard already carrying enough dirty pages
+     commit is refused, and a shard already carrying enough dirty pages
      to overflow alongside the plan is checkpointed first, so the plan's
      own checkpoint is never phase-split. *)
 
@@ -910,6 +817,13 @@ let validate_ops t sh ops =
       | Op.Truncate { oid; size } ->
           if size < 0 then reject "truncate: negative size %d" size;
           require oid "truncate"
+      | Op.Insert { oid; off; _ } ->
+          if off < 0 then reject "insert: negative offset %d" off;
+          require oid "insert"
+      | Op.Remove_bytes { oid; off; len } ->
+          if off < 0 || len < 0 then
+            reject "remove_bytes: negative range %d+%d" off len;
+          require oid "remove_bytes"
       | Op.Delete { oid } ->
           require oid "delete";
           Hashtbl.replace deleted oid ()
@@ -923,7 +837,7 @@ let validate_ops t sh ops =
    it sizes the pre-flush decision and refuses plans that could never
    seal in one chain; it is not a guarantee (a pathological index drain
    can still outgrow the journal, in which case the checkpoint
-   phase-splits exactly as an oversized single-op batch would). *)
+   phase-splits). *)
 let estimate_pages t ops =
   let bs = Device.block_size t.dev in
   let data_pages n = ((n + bs - 1) / bs) + 1 in
@@ -935,22 +849,27 @@ let estimate_pages t ops =
       | Op.Create { content; _ } -> 6 + data_pages (String.length content)
       | Op.Write { data; _ } | Op.Append { data; _ } ->
           4 + data_pages (String.length data)
+      | Op.Insert { data; _ } -> 6 + data_pages (String.length data)
       | Op.Truncate _ -> 4
+      | Op.Remove_bytes _ -> 6
       | Op.Delete _ -> 8
       | Op.Name _ | Op.Unname _ -> 4
       | Op.Rename _ -> 6)
     4 ops
 
-(* Commit a validated plan on its shard. Caller holds the exclusive
-   lock, so neither the flusher daemon nor sync_writes can checkpoint
-   mid-plan: the in-memory application below is invisible to durability
-   until the single note_write at the end. A mid-plan environmental
-   failure (cache full, allocator exhausted) unwinds the applied prefix
-   with per-op logical undos — again invisible to the device, since no
-   checkpoint can intervene. *)
-let commit_ops t sh ops =
-  validate_ops t sh ops;
-  let cap = Osd.journal_capacity_pages sh.s_osd in
+(* Commit a non-empty plan on the shard of its first op and return what
+   its last op reports. A plan of two or more ops is validated first,
+   and captures each op's undo before applying it, so a failure
+   mid-plan (cache full, allocator exhausted), also part-way through
+   one op, unwinds every op applied — invisibly to the device, since
+   the exclusive section keeps checkpoints out. A one-op plan skips
+   both (see {!apply_op}). *)
+let commit t ops =
+  let s = Router.shard_of_oid t.router (Op.target (List.hd ops)) in
+  in_shard t s @@ fun sh ->
+  let multi = match ops with [ _ ] -> false | _ -> true in
+  if multi then validate_ops t sh ops;
+  let cap = sh.s_cap in
   if cap > 0 then begin
     let est = estimate_pages t ops in
     if est > cap then
@@ -962,19 +881,39 @@ let commit_ops t sh ops =
       group_commit_shard sh
   end;
   let undos = ref [] in
-  (try
-     List.iter
-       (fun op ->
-         let a = apply_op ~undo:true t sh op in
-         undos := a.undo :: !undos;
-         Osd.note_op sh.s_osd)
-       ops
-   with e ->
-     Counter.incr c_txn_rollbacks;
-     List.iter (fun u -> u ()) !undos;
-     raise e);
-  Counter.incr c_txn_commits;
-  Counter.add c_txn_ops (List.length ops)
+  let keep =
+    if multi then fun capture -> undos := capture () :: !undos else ignore
+  in
+  try
+    List.fold_left
+      (fun _ op ->
+        let removed = apply_op t sh ~keep op in
+        Osd.note_op sh.s_osd;
+        removed)
+      false ops
+  with e when multi ->
+    Counter.incr c_txn_rollbacks;
+    List.iter (fun undo -> undo ()) !undos;
+    raise e
+
+(* A single mutation: a one-op plan. *)
+let exec t op = Osd.guard (fun () -> commit t [ op ])
+
+(* Place a new object and claim its OID — on the shard a plan already
+   [pinned], if any. {!create} and {!Txn.create} both start here. *)
+let reserve t ?pinned names =
+  let s = match pinned with Some s -> s | None -> place t names in
+  Router.to_global t.router ~shard:s (Osd.reserve_oid t.shards.(s).s_osd)
+
+let create ?meta ?(names = []) ?(content = "") t =
+  traced "create" @@ fun () ->
+  Osd.guard (fun () ->
+      let reserved = reserve t names in
+      ignore (commit t [ Op.Create { reserved; meta; names; content } ]);
+      reserved)
+
+let delete t oid =
+  traced "delete" @@ fun () -> Result.map ignore (exec t (Op.Delete { oid }))
 
 module Txn = struct
   let check tx =
@@ -997,12 +936,9 @@ module Txn = struct
 
   let create ?meta ?(names = []) ?(content = "") tx =
     check tx;
-    let t = tx.tx_fs in
-    let s = match tx.tx_shard with Some s -> s | None -> place t names in
-    let l = Osd.reserve_oid t.shards.(s).s_osd in
-    let g = Router.to_global t.router ~shard:s l in
-    stage tx (Op.Create { reserved = g; meta; names; content });
-    g
+    let reserved = reserve tx.tx_fs ?pinned:tx.tx_shard names in
+    stage tx (Op.Create { reserved; meta; names; content });
+    reserved
 
   let write tx oid ~off data = stage tx (Op.Write { oid; off; data })
   let append tx oid data = stage tx (Op.Append { oid; data })
@@ -1028,9 +964,12 @@ let with_txn t f =
             tx.tx_open <- false;
             raise e
       in
-      (match (Txn.ops tx, tx.tx_shard) with
-      | [], _ | _, None -> ()
-      | ops, Some s -> in_shard t s (fun sh -> commit_ops t sh ops));
+      (match Txn.ops tx with
+      | [] -> ()
+      | ops ->
+          ignore (commit t ops);
+          Counter.incr c_txn_commits;
+          Counter.add c_txn_ops (List.length ops));
       v)
 
 let with_txn_exn t f =
@@ -1041,19 +980,24 @@ let exists t oid = routed t oid (fun sh l -> Osd.exists sh.s_osd l)
 let object_count t =
   Array.fold_left (fun acc sh -> acc + Osd.object_count sh.s_osd) 0 t.shards
 
+let objects t =
+  Router.merge_sorted ~cmp:Oid.compare
+    (List.init (nshards t) (fun s ->
+         List.map
+           (Router.to_global t.router ~shard:s)
+           (Osd.list_objects t.shards.(s).s_osd)))
+
 (* --- naming ----------------------------------------------------------------- *)
 
 let name t oid tag value =
   traced "name" @@ fun () ->
-  Result.map
-    (fun (_ : bool) -> ())
-    (exec_one t (Op.Name { oid; tag; value }))
+  Result.map ignore (exec t (Op.Name { oid; tag; value }))
 
 let unname t oid tag value =
-  traced "unname" @@ fun () -> exec_one t (Op.Unname { oid; tag; value })
+  traced "unname" @@ fun () -> exec t (Op.Unname { oid; tag; value })
 
 let rename t oid tag ~from_ ~to_ =
-  traced "rename" @@ fun () -> exec_one t (Op.Rename { oid; tag; from_; to_ })
+  traced "rename" @@ fun () -> exec t (Op.Rename { oid; tag; from_; to_ })
 
 let names_of t oid = routed t oid (fun sh l -> Index_store.values_of sh.s_index l)
 
@@ -1199,32 +1143,30 @@ let read_all t oid =
 
 let write t oid ~off data =
   traced "write" @@ fun () ->
-  Result.map (fun (_ : bool) -> ()) (exec_one t (Op.Write { oid; off; data }))
+  Result.map ignore (exec t (Op.Write { oid; off; data }))
 
 let append t oid data =
   traced "append" @@ fun () ->
-  Result.map (fun (_ : bool) -> ()) (exec_one t (Op.Append { oid; data }))
+  Result.map ignore (exec t (Op.Append { oid; data }))
 
 let insert t oid ~off data =
-  mutate t oid (fun sh l ->
-      Osd.insert sh.s_osd l ~off data;
-      mark t sh l)
+  Result.map ignore (exec t (Op.Insert { oid; off; data }))
 
 let remove_bytes t oid ~off ~len =
-  mutate t oid (fun sh l ->
-      Osd.remove_bytes sh.s_osd l ~off ~len;
-      mark t sh l)
+  Result.map ignore (exec t (Op.Remove_bytes { oid; off; len }))
 
-let truncate t oid size =
-  Result.map (fun (_ : bool) -> ()) (exec_one t (Op.Truncate { oid; size }))
-
+let truncate t oid size = Result.map ignore (exec t (Op.Truncate { oid; size }))
 let size t oid = routed t oid (fun sh l -> Osd.size sh.s_osd l)
 let metadata t oid = routed t oid (fun sh l -> Osd.metadata sh.s_osd l)
 
-let update_metadata t oid f =
-  mutate t oid (fun sh l -> Osd.update_metadata sh.s_osd l f)
+(* Compaction changes no logical state, so it is no plan: a maintenance
+   call in the owning shard's section, counted into the next seal. *)
+let compact t oid =
+  Osd.guard (fun () ->
+      in_shard t (Router.shard_of_oid t.router oid) (fun sh ->
+          Osd.compact sh.s_osd (Router.to_local t.router oid);
+          Osd.note_op sh.s_osd))
 
-let compact t oid = mutate t oid (fun sh l -> Osd.compact sh.s_osd l)
 let extent_count t oid = routed t oid (fun sh l -> Osd.extent_count sh.s_osd l)
 
 (* --- snapshots -------------------------------------------------------------- *)
@@ -1349,7 +1291,6 @@ let append_exn t oid data = get (append t oid data)
 let insert_exn t oid ~off data = get (insert t oid ~off data)
 let remove_bytes_exn t oid ~off ~len = get (remove_bytes t oid ~off ~len)
 let truncate_exn t oid size = get (truncate t oid size)
-let update_metadata_exn t oid f = get (update_metadata t oid f)
 let compact_exn t oid = get (compact t oid)
 
 let verify t =

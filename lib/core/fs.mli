@@ -110,11 +110,22 @@ val error_message : error -> string
 
 (** {1 The typed mutation vocabulary}
 
-    One value describes one mutation, whichever door it came through:
-    the single-op entry points below build a one-element plan,
-    {!with_txn} stages many, and the wire server's MULTI frame decodes
-    straight into this type. All OIDs are global; the executor
-    translates to the owning shard. *)
+    {b Every mutation is a plan}, committed by one function: the
+    single-op calls below ({!create}, {!write}, {!name}, ...) commit a
+    one-op plan, {!with_txn} stages many, and the wire server's verbs
+    stage theirs through {!with_txn}. All OIDs are global; the commit
+    translates to the owning shard. Only {!compact}, which changes no
+    logical state, is no plan.
+
+    A one-op plan is neither pre-validated nor captured for undo (see
+    {!with_txn} for longer plans): its op runs its own checks before it
+    changes anything, and nothing before it needs unwinding. So a
+    single op reads nothing extra, and its errors are its own —
+    [No_such_object] with the global OID, [Invalid_argument], the
+    index's exceptions for a bad name — not [Txn_invalid]. Every plan,
+    one op included, must fit one journal commit: on a journaled stack
+    a larger one is refused as [Error (Txn_invalid _)] with nothing
+    applied. *)
 
 module Op : sig
   type t =
@@ -138,11 +149,14 @@ module Op : sig
         from_ : string;
         to_ : string;
       }  (** atomically retag: remove [tag/from_], add [tag/to_] *)
+    | Insert of { oid : Hfad_osd.Oid.t; off : int; data : string }
+        (** §3.1.2's insert: grow the object by [data] at [off] *)
+    | Remove_bytes of { oid : Hfad_osd.Oid.t; off : int; len : int }
+        (** §3.1.2's two-argument truncate: cut [len] bytes at [off],
+            clamped at the end *)
 
   val target : t -> Hfad_osd.Oid.t
   (** The object the op routes by (for [Create], the reserved OID). *)
-
-  val pp : Format.formatter -> t -> unit
 end
 
 (** {1 Configuration} *)
@@ -321,7 +335,8 @@ val create :
   ?content:string ->
   t ->
   (Hfad_osd.Oid.t, error) result
-(** Create an object, optionally with initial names and content. *)
+(** Create an object, optionally with initial names and content, in
+    one mutation: a name the index refuses raises before it exists. *)
 
 val create_exn :
   ?meta:Hfad_osd.Meta.t ->
@@ -337,6 +352,10 @@ val delete_exn : t -> Hfad_osd.Oid.t -> unit
 val exists : t -> Hfad_osd.Oid.t -> bool
 val object_count : t -> int
 
+val objects : t -> Hfad_osd.Oid.t list
+(** Every live object on every shard, as global OIDs in ascending
+    order. *)
+
 (** {1 Naming interfaces (§3.1.1)} *)
 
 val name : t -> Hfad_osd.Oid.t -> Hfad_index.Tag.t -> string -> (unit, error) result
@@ -346,6 +365,9 @@ val name : t -> Hfad_osd.Oid.t -> Hfad_index.Tag.t -> string -> (unit, error) re
 
 val name_exn : t -> Hfad_osd.Oid.t -> Hfad_index.Tag.t -> string -> unit
 val unname : t -> Hfad_osd.Oid.t -> Hfad_index.Tag.t -> string -> (bool, error) result
+(** Detach one name; returns whether it was attached. A pair {!name}
+    would refuse raises the same exception. *)
+
 val unname_exn : t -> Hfad_osd.Oid.t -> Hfad_index.Tag.t -> string -> bool
 
 val rename :
@@ -358,7 +380,8 @@ val rename :
 (** Atomically replace one name with another under the same tag — one
     mutation, one sequence number, so no reader or snapshot ever sees
     the object with neither (or both) names. Returns whether [from_]
-    was actually attached. *)
+    was actually attached. A [to_] the index refuses raises before
+    [from_] is removed. *)
 
 val rename_exn :
   t -> Hfad_osd.Oid.t -> Hfad_index.Tag.t -> from_:string -> to_:string -> bool
@@ -399,10 +422,10 @@ val list_names : t -> Hfad_index.Tag.t -> prefix:string -> (string * Hfad_osd.Oi
     journaling nothing reaches the device until a checkpoint, and a
     checkpoint seals the whole dirty set as a single CRC-chained journal
     commit — so a crash recovers the plan wholly applied or wholly
-    absent. The plan is validated before anything is applied; a mid-plan
-    environmental failure unwinds the applied prefix with logical undos
-    (no checkpoint can intervene — the commit holds the shard's
-    exclusive lock).
+    absent. A plan of two or more ops is validated before anything is
+    applied; a failure mid-plan, even part-way through one op, unwinds
+    every op applied with logical undos (no checkpoint can intervene —
+    the commit holds the shard's exclusive lock).
 
     Restrictions: a plan must stay on one shard (the first staged op
     pins it; a cross-shard op raises, surfacing as
@@ -524,16 +547,13 @@ val truncate : t -> Hfad_osd.Oid.t -> int -> (unit, error) result
 val truncate_exn : t -> Hfad_osd.Oid.t -> int -> unit
 val size : t -> Hfad_osd.Oid.t -> int
 val metadata : t -> Hfad_osd.Oid.t -> Hfad_osd.Meta.t
-
-val update_metadata :
-  t -> Hfad_osd.Oid.t -> (Hfad_osd.Meta.t -> Hfad_osd.Meta.t) -> (unit, error) result
-
-val update_metadata_exn :
-  t -> Hfad_osd.Oid.t -> (Hfad_osd.Meta.t -> Hfad_osd.Meta.t) -> unit
+(** Set at {!create}; only writes change it after ([size], [mtime]).
+    The native API has no call that rewrites metadata. *)
 
 val compact : t -> Hfad_osd.Oid.t -> (unit, error) result
 (** Rewrite the object into the fewest extents its size allows
-    (routed to the owning shard; see {!Hfad_osd.Osd.compact}). *)
+    (routed to the owning shard; see {!Hfad_osd.Osd.compact}). A
+    maintenance call, not an {!Op.t}: it changes no logical state. *)
 
 val compact_exn : t -> Hfad_osd.Oid.t -> unit
 

@@ -1,5 +1,4 @@
 module Tag = Hfad_index.Tag
-module Osd = Hfad_osd.Osd
 
 type t = {
   fs : Fs.t;
@@ -8,7 +7,7 @@ type t = {
 }
 
 let start fs =
-  { fs; stack = []; results = Osd.list_objects (Fs.osd fs) }
+  { fs; stack = []; results = Fs.objects fs }
 
 let narrow t pair =
   let results =
@@ -30,7 +29,7 @@ let widen t =
   | _ :: outer ->
       let results =
         match outer with
-        | [] -> Osd.list_objects (Fs.osd t.fs)
+        | [] -> Fs.objects t.fs
         | pairs -> Fs.lookup t.fs pairs
       in
       { t with stack = outer; results }

@@ -80,6 +80,8 @@ let add t oid tag value =
   traced_tag "add" tag @@ fun () ->
   exclusive t (fun () -> Kv_index.add (kv_index t tag) oid value)
 
+let check t tag value = Kv_index.check_value (kv_index t tag) value
+
 let remove t oid tag value =
   traced_tag "remove" tag @@ fun () ->
   exclusive t (fun () -> Kv_index.remove (kv_index t tag) oid value)

@@ -49,6 +49,10 @@ val add : t -> Hfad_osd.Oid.t -> Tag.t -> string -> unit
     object's bytes ({!drain}), identity from the OSD.
     @raise Kv_index.Value_not_indexable for malformed values. *)
 
+val check : t -> Tag.t -> string -> unit
+(** Raise what {!add} would raise for this pair ({!Unsupported_tag} or
+    {!Kv_index.Value_not_indexable}); change nothing. *)
+
 val remove : t -> Hfad_osd.Oid.t -> Tag.t -> string -> bool
 
 val values_of : t -> Hfad_osd.Oid.t -> (Tag.t * string) list

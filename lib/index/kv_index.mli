@@ -27,6 +27,9 @@ val max_value_len : t -> int
 exception Value_not_indexable of string
 (** Raised by {!add} for values with ['\000'] or over-long values. *)
 
+val check_value : t -> string -> unit
+(** Raise {!Value_not_indexable} for a value {!add} would refuse. *)
+
 val add : t -> Hfad_osd.Oid.t -> string -> unit
 (** Associate (idempotent). *)
 

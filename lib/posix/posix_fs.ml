@@ -92,12 +92,25 @@ let invalidate_prefix t path =
   | Some pc -> Pathcache.invalidate_prefix pc path
   | None -> ()
 
+let memo t path oid =
+  match t.pcache with Some pc -> Pathcache.add pc path oid | None -> ()
+
 (* Naming is write-through: [Fs.name_exn] either binds [path -> oid] or
    raises, so on success the cache may memoize immediately. *)
 let add_name t oid path =
   (try Fs.name_exn t.fs oid Tag.Posix path
    with Kv_index.Value_not_indexable _ -> err EINVAL path);
-  match t.pcache with Some pc -> Pathcache.add pc path oid | None -> ()
+  memo t path oid
+
+(* A new object is created with its path as one mutation, so a path the
+   index refuses leaves no unnamed object behind. *)
+let create_named ?content t ~meta path =
+  let oid =
+    try Fs.create_exn ~meta ~names:[ (Tag.Posix, path) ] ?content t.fs
+    with Kv_index.Value_not_indexable _ -> err EINVAL path
+  in
+  memo t path oid;
+  oid
 
 let mount ?(pathcache_entries = 512) fs =
   let t =
@@ -116,8 +129,7 @@ let mount ?(pathcache_entries = 512) fs =
   | Some _ -> ()
   | None ->
       let meta = Meta.make ~kind:Meta.Directory ~mode:0o755 () in
-      let oid = Fs.create_exn ~meta t.fs in
-      add_name t oid "/");
+      ignore (create_named t ~meta "/"));
   t
 
 let unmount t =
@@ -191,8 +203,7 @@ let mkdir_exn t path =
   require_absent t path;
   require_parent_dir t path;
   let meta = Meta.make ~kind:Meta.Directory ~mode:0o755 () in
-  let oid = Fs.create_exn ~meta t.fs in
-  add_name t oid path
+  ignore (create_named t ~meta path)
 
 let rec mkdir_p_exn t path =
   let path = Path.normalize path in
@@ -244,10 +255,7 @@ let create_file_exn ?content t path =
   if path = "/" then err EISDIR path;
   require_absent t path;
   require_parent_dir t path;
-  let meta = Meta.make ~kind:Meta.Regular () in
-  let oid = Fs.create_exn ~meta ?content t.fs in
-  add_name t oid path;
-  oid
+  create_named ?content t ~meta:(Meta.make ~kind:Meta.Regular ()) path
 
 let link_exn t existing fresh =
   let fresh = Path.normalize fresh in
@@ -262,8 +270,7 @@ let symlink_exn t ~target path =
   require_absent t path;
   require_parent_dir t path;
   let meta = Meta.make ~kind:Meta.Symlink () in
-  let oid = Fs.create_exn ~meta ~content:target t.fs in
-  add_name t oid path
+  ignore (create_named ~content:target t ~meta path)
 
 let readlink t path =
   let oid = resolve ~follow:false t path in
@@ -336,9 +343,7 @@ let rename_exn t old_path new_path =
     if rename_txn t oid ~old_path ~new_path ~children then begin
       (* The names moved atomically; only the memo needs repair. *)
       if is_dir then invalidate_prefix t old_path else invalidate t old_path;
-      match t.pcache with
-      | Some pc -> Pathcache.add pc new_path oid
-      | None -> ()
+      memo t new_path oid
     end
     else begin
       ignore (Fs.unname_exn t.fs oid Tag.Posix old_path);
@@ -422,17 +427,17 @@ let tell t fd = with_fds t (fun () -> (fd_state t fd).pos)
 let read_file t path =
   traced "read_file" path @@ fun () -> Fs.read_all t.fs (resolve t path)
 
+(* An overwrite is one plan, so a reader sees the old bytes or the new,
+   never the truncated file between them. *)
 let write_file_exn t path data =
   let path = Path.normalize path in
-  let oid =
-    match resolve t path with
-    | oid ->
-        if (Fs.metadata t.fs oid).Meta.kind = Meta.Directory then err EISDIR path;
-        Fs.truncate_exn t.fs oid 0;
-        oid
-    | exception Error (ENOENT, _) -> create_file_exn t path
-  in
-  Fs.write_exn t.fs oid ~off:0 data
+  match resolve t path with
+  | oid ->
+      if (Fs.metadata t.fs oid).Meta.kind = Meta.Directory then err EISDIR path;
+      Fs.with_txn_exn t.fs (fun tx ->
+          Fs.Txn.truncate tx oid 0;
+          if data <> "" then Fs.Txn.write tx oid ~off:0 data)
+  | exception Error (ENOENT, _) -> ignore (create_file_exn ~content:data t path)
 
 (* --- typed mutation API ------------------------------------------------------------- *)
 

@@ -39,8 +39,10 @@
     the stack allows it — a crash recovers the whole re-key or none of
     it — falling back to a sequence of individually-atomic Fs calls when
     the subtree spans shards or overflows the journal's capacity
-    estimate. Other multi-step operations ({!mkdir_p}, [create]-on-open)
-    remain sequences of atomic Fs calls, as in POSIX itself. *)
+    estimate. A new file, directory or symlink is created with its path
+    in one mutation, and {!write_file} overwrites in one plan. Other
+    multi-step operations ({!mkdir_p}, [create]-on-open) remain
+    sequences of atomic Fs calls, as in POSIX itself. *)
 
 type t
 
@@ -187,7 +189,10 @@ val tell : t -> fd -> int
 val read_file : t -> string -> string
 
 val write_file : t -> string -> string -> (unit, error) result
-(** Create-or-truncate then write. *)
+(** Create the file with this content, or replace an existing file's
+    content in one plan (truncate + write): a reader sees the old bytes
+    or the new, never the file between them. Content larger than one
+    journal commit is refused ([Storage (Txn_invalid _)]). *)
 
 val write_file_exn : t -> string -> string -> unit
 

@@ -258,6 +258,23 @@ let test_refine_with_fulltext_and_posix () =
   let s3 = Refine.narrow s (Tag.Posix, "/p/b") in
   check Alcotest.int "contradictory path" 0 (Refine.count s3)
 
+(* The root session lists every object, on every shard, by the global
+   OID the rest of the API speaks. *)
+let test_refine_root_spans_shards () =
+  let dev = Device.create ~block_size:1024 ~blocks:16384 () in
+  let fs = Fs.format ~config:(Fs.Config.v ~cache_pages:256 ~shards:4 ()) dev in
+  let made =
+    List.init 12 (fun i -> Fs.create_exn ~content:(string_of_int i) fs)
+  in
+  let root = Refine.start fs in
+  check (Alcotest.list oid_t) "every object, ascending"
+    (List.sort Oid.compare made) (Refine.ls root);
+  List.iter
+    (fun oid -> check Alcotest.bool "resolvable" true (Fs.exists fs oid))
+    (Refine.ls root);
+  let back = Refine.widen (Refine.narrow root (Tag.Udef, "none")) in
+  check Alcotest.int "widen back to the root" 12 (Refine.count back)
+
 let test_query_string_through_fs () =
   let _, fs = mk () in
   let a = Fs.create_exn fs ~names:[ (Tag.User, "margo"); (Tag.App, "gcc") ] in
@@ -295,5 +312,7 @@ let suite =
     Alcotest.test_case "refine empty result" `Quick test_refine_empty_result;
     Alcotest.test_case "refine fulltext+posix" `Quick
       test_refine_with_fulltext_and_posix;
+    Alcotest.test_case "refine root on 4 shards" `Quick
+      test_refine_root_spans_shards;
     Alcotest.test_case "query_string via Fs" `Quick test_query_string_through_fs;
   ]

@@ -284,6 +284,51 @@ let test_write_file_truncates () =
   P.write_file_exn p "/f" "short";
   check Alcotest.string "replaced" "short" (P.read_file p "/f")
 
+(* A reader on another domain sees the old bytes or the new, never the
+   truncated file between them. *)
+let test_write_file_atomic_for_readers () =
+  let _, _, p = mk () in
+  let versions = [| String.make 100 'a'; String.make 100 'b' |] in
+  P.write_file_exn p "/f" versions.(0);
+  let stop = Atomic.make false in
+  let reader =
+    Domain.spawn (fun () ->
+        let reads = ref 0 and wrong = ref 0 in
+        while not (Atomic.get stop) do
+          if String.length (P.read_file p "/f") <> 100 then incr wrong;
+          incr reads
+        done;
+        (!reads, !wrong))
+  in
+  for i = 1 to 2_000 do
+    P.write_file_exn p "/f" versions.(i land 1)
+  done;
+  Atomic.set stop true;
+  let reads, wrong = Domain.join reader in
+  check Alcotest.bool "the reader ran" true (reads > 0);
+  check Alcotest.int "reads of another length" 0 wrong
+
+(* An object is created with its path in one mutation, so a path the
+   index refuses leaves nothing behind. *)
+let test_refused_path_leaks_nothing () =
+  let _, fs, p = mk () in
+  let path = "/" ^ String.make 5_000 'x' in
+  let before = Fs.object_count fs in
+  List.iter
+    (fun (what, f) ->
+      match f () with
+      | Error (P.Errno (P.EINVAL, _)) ->
+          check Alcotest.int what before (Fs.object_count fs)
+      | Ok () -> Alcotest.failf "%s: over-long path accepted" what
+      | Error e -> Alcotest.failf "%s: %a" what P.pp_error e)
+    [
+      ("create_file", fun () -> Result.map ignore (P.create_file p path));
+      ("mkdir", fun () -> P.mkdir p path);
+      ("symlink", fun () -> P.symlink p ~target:"/" path);
+      ("write_file", fun () -> P.write_file p path "data");
+    ];
+  P.verify p
+
 let test_walk () =
   let _, _, p = mk () in
   P.mkdir_p_exn p "/t/a";
@@ -392,6 +437,10 @@ let suite =
     Alcotest.test_case "fd I/O" `Quick test_fd_io;
     Alcotest.test_case "openf errors" `Quick test_openf_errors;
     Alcotest.test_case "write_file truncates" `Quick test_write_file_truncates;
+    Alcotest.test_case "write_file atomic for readers" `Quick
+      test_write_file_atomic_for_readers;
+    Alcotest.test_case "refused path leaks nothing" `Quick
+      test_refused_path_leaks_nothing;
     Alcotest.test_case "walk" `Quick test_walk;
     Alcotest.test_case "POSIX and native naming coexist" `Quick
       test_posix_and_native_naming_coexist;

@@ -16,10 +16,12 @@ module Rng = Hfad_util.Rng
 let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
 
-let mk ?(shards = 1) () =
+let mk ?(shards = 1) ?(journal_pages = 0) () =
   let dev = Device.create ~block_size:1024 ~blocks:16384 () in
   Fs.format
-    ~config:(Fs.Config.v ~cache_pages:512 ~index_mode:Fs.Eager ~shards ())
+    ~config:
+      (Fs.Config.v ~cache_pages:512 ~index_mode:Fs.Eager ~shards ~journal_pages
+         ())
     dev
 
 let oid_t = Alcotest.testable Oid.pp Oid.equal
@@ -145,6 +147,134 @@ let test_single_op_rename () =
     (match Fs.lookup_one fs [ (Tag.User, "root") ] with
     | Some o -> Oid.equal o oid
     | None -> false)
+
+(* Each op checks what it would refuse before it changes anything, so
+   a single op leaves no trace, and a plan's rollback covers every step
+   applied before the refusal. *)
+let test_bad_names_refused_before_change () =
+  let fs = mk () in
+  let a = Fs.create_exn ~names:[ (Tag.Udef, "keep") ] ~content:"old" fs in
+  let count = Fs.object_count fs in
+  let refused what f =
+    match f () with
+    | exception Kv_index.Value_not_indexable _ -> ()
+    | _ -> Alcotest.failf "%s: bad name accepted" what
+  in
+  let unchanged what =
+    check Alcotest.string (what ^ ": old bytes") "old" (Fs.read_all fs a);
+    check Alcotest.bool (what ^ ": old name") true (find fs "keep" = Some a);
+    check Alcotest.int (what ^ ": no new object") count (Fs.object_count fs);
+    check Alcotest.bool (what ^ ": no name bound") true (find fs "ok" = None)
+  in
+  let bad_create tx =
+    ignore (Fs.Txn.create tx ~names:[ (Tag.Udef, "ok"); (Tag.Udef, "bad\000") ])
+  in
+  refused "rename" (fun () ->
+      Fs.rename fs a Tag.Udef ~from_:"keep" ~to_:"bad\000");
+  unchanged "rename";
+  refused "create" (fun () ->
+      Fs.create ~names:[ (Tag.Udef, "ok"); (Tag.Udef, "bad\000") ] fs);
+  unchanged "create";
+  refused "plan: write, rename" (fun () ->
+      Fs.with_txn fs (fun tx ->
+          Fs.Txn.write tx a ~off:0 "new";
+          Fs.Txn.rename tx a Tag.Udef ~from_:"keep" ~to_:"bad\000"));
+  unchanged "plan: write, rename";
+  refused "plan: write, create" (fun () ->
+      Fs.with_txn fs (fun tx ->
+          Fs.Txn.write tx a ~off:0 "new";
+          bad_create tx));
+  unchanged "plan: write, create";
+  (* Undoing a name the object already had must keep it. *)
+  refused "plan: name again, bad name" (fun () ->
+      Fs.with_txn fs (fun tx ->
+          Fs.Txn.name tx a Tag.Udef "keep";
+          Fs.Txn.name tx a Tag.Udef "bad\000"));
+  unchanged "plan: name again, bad name";
+  Fs.verify fs
+
+(* §3.1.2's insert and two-argument truncate are plan steps like any
+   other: they apply, and a later failure rolls them back to the exact
+   old size — past the end included, where an undo must neither leave
+   nor invent a zero-filled gap. *)
+let test_insert_remove_bytes_in_plans () =
+  let fs = mk () in
+  let a = Fs.create_exn ~names:[ (Tag.Udef, "ir") ] ~content:"0123456789" fs in
+  Fs.with_txn_exn fs (fun tx ->
+      Fs.Txn.stage tx (Fs.Op.Insert { oid = a; off = 2; data = "ab" });
+      Fs.Txn.stage tx (Fs.Op.Remove_bytes { oid = a; off = 0; len = 1 }));
+  check Alcotest.string "both applied" "1ab23456789" (Fs.read_all fs a);
+  let rolls_back what op =
+    let before = Fs.read_all fs a in
+    (match
+       Fs.with_txn fs (fun tx ->
+           Fs.Txn.stage tx op;
+           Fs.Txn.name tx a Tag.Udef "bad\000value")
+     with
+    | exception Kv_index.Value_not_indexable _ -> ()
+    | Ok () -> Alcotest.failf "%s: unindexable name committed" what
+    | Error e -> Alcotest.failf "%s: %s" what (Fs.error_message e));
+    check Alcotest.string (what ^ ": bytes") before (Fs.read_all fs a);
+    check Alcotest.int (what ^ ": size") (String.length before) (Fs.size fs a)
+  in
+  rolls_back "insert" (Fs.Op.Insert { oid = a; off = 3; data = "XYZ" });
+  rolls_back "insert past the end"
+    (Fs.Op.Insert { oid = a; off = 20; data = "tail" });
+  rolls_back "remove_bytes" (Fs.Op.Remove_bytes { oid = a; off = 1; len = 4 });
+  rolls_back "remove_bytes across the end"
+    (Fs.Op.Remove_bytes { oid = a; off = 8; len = 10 });
+  rolls_back "remove_bytes past the end"
+    (Fs.Op.Remove_bytes { oid = a; off = 40; len = 5 });
+  Fs.verify fs
+
+(* One admission rule for every plan: a single op that cannot seal in
+   one journal commit is refused whole, like an oversized wire PUT. *)
+let test_oversized_single_op_refused () =
+  let fs = mk ~journal_pages:64 () in
+  let a = Fs.create_exn ~names:[ (Tag.Udef, "big") ] ~content:"small" fs in
+  (match Fs.write fs a ~off:0 (String.make (64 * 1024) 'z') with
+  | Error (Fs.Txn_invalid _) -> ()
+  | Ok () -> Alcotest.fail "write larger than the journal applied"
+  | Error e -> Alcotest.failf "wrong error: %s" (Fs.error_message e));
+  check Alcotest.string "object unchanged" "small" (Fs.read_all fs a);
+  Fs.verify fs
+
+(* The same rule checkpoints the shard first when a single op would
+   overflow the journal together with the pages already dirty, so the
+   op's own checkpoint is never split. *)
+let test_single_op_checkpoints_first () =
+  let fs = mk ~journal_pages:64 () in
+  let oids =
+    List.init 8 (fun i -> Fs.create_exn ~content:(string_of_int i) fs)
+  in
+  Fs.sync_exn ~mode:`Checkpoint fs;
+  List.iter (fun oid -> Fs.write_exn fs oid ~off:0 "dirty") oids;
+  let osd = Fs.osd_of_shard fs 0 in
+  let dirty = Hfad_pager.Pager.dirty_count (Osd.pager osd) in
+  let cap = Osd.journal_capacity_pages osd in
+  let seq = Osd.journal_sequence osd in
+  (* 40 data pages of 1 KiB: fits the journal alone, not with the rest. *)
+  let big = String.make (40 * 1024) 'z' in
+  check Alcotest.bool "precondition: fits alone, not with the dirty set" true
+    (40 + 8 <= cap && dirty + 40 > cap);
+  Fs.write_exn fs (List.hd oids) ~off:0 big;
+  check Alcotest.bool "checkpointed before the op" true
+    (Osd.journal_sequence osd > seq);
+  check Alcotest.string "op applied" big (Fs.read_all fs (List.hd oids));
+  Fs.verify fs
+
+(* A single op is not pre-validated: its own error, with the global
+   OID, crosses the API. *)
+let test_single_op_error_is_global () =
+  let fs = mk ~shards:4 () in
+  for i = 1 to 4 do
+    let g = Fs.create_exn ~content:(string_of_int i) fs in
+    Fs.delete_exn fs g;
+    match Fs.write fs g ~off:0 "again" with
+    | Error (Fs.No_such_object o) -> check oid_t "global OID" g o
+    | Ok () -> Alcotest.fail "write to a deleted object applied"
+    | Error e -> Alcotest.failf "wrong error: %s" (Fs.error_message e)
+  done
 
 let test_sync_modes () =
   let fs = mk () in
@@ -317,6 +447,16 @@ let suite =
     Alcotest.test_case "cross-shard plan rejected" `Quick
       test_cross_shard_rejected;
     Alcotest.test_case "single-op rename" `Quick test_single_op_rename;
+    Alcotest.test_case "bad names refused before change" `Quick
+      test_bad_names_refused_before_change;
+    Alcotest.test_case "insert and remove_bytes in plans" `Quick
+      test_insert_remove_bytes_in_plans;
+    Alcotest.test_case "oversized single op refused" `Quick
+      test_oversized_single_op_refused;
+    Alcotest.test_case "single op checkpoints first" `Quick
+      test_single_op_checkpoints_first;
+    Alcotest.test_case "single-op error names the global OID" `Quick
+      test_single_op_error_is_global;
     Alcotest.test_case "sync modes: checkpoint and barrier" `Quick
       test_sync_modes;
     Alcotest.test_case "snapshot stability" `Quick test_snapshot_stability;
