@@ -41,6 +41,29 @@ let make_tests () =
   for i = 0 to Bench_util.scaled 9_999 ~smoke:499 do
     Btree.put tree ~key:(Printf.sprintf "key%06d" i) ~value:"value"
   done;
+  (* postings fixture: the full-text tree's key shape, "P" ^ term ^ "\000"
+     ^ an 8-byte OID, put one document at a time as a drain does; 64 terms
+     x 860 documents is about the wire-write preload's 55k bindings *)
+  let postings = Btree.create pgr alloc ~root:(Buddy.alloc buddy 1) in
+  let posting term doc =
+    let oid = Bytes.create 8 in
+    Bytes.set_int64_be oid 0 (Int64.of_int doc);
+    Printf.sprintf "Pterm%03d\000%s" term (Bytes.to_string oid)
+  in
+  let docs = Bench_util.scaled 860 ~smoke:40 in
+  for doc = 1 to docs do
+    for term = 0 to 63 do
+      Btree.put postings ~key:(posting term doc) ~value:"\001"
+    done
+  done;
+  (* The probes cycle through 1,024 keys, so a row averages over where
+     its key lies in its leaf. *)
+  let probes = Array.init 1024 (fun i -> posting (i * 7 mod 64) (1 + (i * 131 mod docs))) in
+  let next_probe = ref 0 in
+  let probe () =
+    next_probe := (!next_probe + 1) land 1023;
+    probes.(!next_probe)
+  in
   (* hFAD fixture *)
   let fdev = Device.create ~block_size:4096 ~blocks:131072 () in
   let fs = Fs.format ~config:(Fs.Config.v ~cache_pages:8192 ~index_mode:Fs.Eager ()) fdev in
@@ -77,6 +100,10 @@ let make_tests () =
       (Staged.stage (fun () ->
            Btree.put tree ~key:"zzkey" ~value:"v";
            ignore (Btree.remove tree "zzkey")));
+    Test.make ~name:"btree.find(55k postings)"
+      (Staged.stage (fun () -> ignore (Btree.find postings (probe ()))));
+    Test.make ~name:"btree.put(55k postings)"
+      (Staged.stage (fun () -> Btree.put postings ~key:(probe ()) ~value:"\001"));
     Test.make ~name:"buddy.alloc+free(8)"
       (Staged.stage (fun () -> Buddy.free buddy (Buddy.alloc buddy 8)));
     Test.make ~name:"osd.read(4KiB@512K)"

@@ -27,6 +27,23 @@ done
 # It writes nothing under perfbench/.
 python3 perfbench/run.py --self-test
 
+# Benchmark output gate: one short run of each workload (about 8 s
+# each) must check every output it produced and fail no operation. The
+# result line is the last line of standard output; its "correct" must
+# be true and its "failed" 0.
+for w in naming wire-write
+do
+  python3 perfbench/run.py --workload "$w" --seed 1 --seconds 2 --trace 0 |
+    tail -n 1 |
+    python3 -c '
+import json, sys
+r = json.loads(sys.stdin.read())
+if r["correct"] is not True or r["failed"] != 0:
+    sys.exit("check.sh: %s reported correct=%s failed=%s"
+             % (sys.argv[1], r["correct"], r["failed"]))
+' "$w"
+done
+
 # Bench bit-rot gate: every experiment once at tiny N; numbers printed
 # under --smoke are not measurements. W2, R1, S1, T2, O1, O2 and C6
 # assert their acceptance shape on every run. --json writes BENCH_<id>.json

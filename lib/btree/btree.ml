@@ -199,8 +199,10 @@ let size_cut ~lo ~hi ~n ~total ~weight =
     !best
   end
 
-(* Leaf halves must fit the page and keep the minimum fill. An entry is
-   at most 3/8 of a page, so some cut always does both. *)
+(* Leaf halves must fit the page and keep the minimum fill. An entry,
+   with its varint lengths and its 2-byte slot, is at most 3/8 of a page
+   (a key of [page/8 - 8] bytes and a value of [page/4]: 25 + 65 + 2 <= 96
+   on 256-byte pages), so some cut always does both. *)
 let leaf_cut t ~n ~total ~weight =
   size_cut
     ~lo:(min_node_size t - Node.header_size)
@@ -494,31 +496,26 @@ let fold_range t ?lo ?hi ~init f =
   shared t @@ fun () ->
   begin_descent t;
   let acc = ref init in
-  (* Fold [f] over the leaf's entries from offset [pos] on, stopping the
-     whole range at the first key [>= hi]; return the next leaf. *)
-  let fold_leaf page pos =
-    let stop = Node.used page and pos = ref pos in
-    while !pos < stop do
-      (match hi with
-      | Some h when Node.compare_key page !pos h >= 0 -> raise Stop
-      | Some _ | None -> ());
-      acc := f !acc (Node.key_at page !pos) (Node.value_at page !pos);
-      pos := Node.next_entry page !pos
-    done;
+  (* Fold [f] over the leaf's entries from index [i] on, stopping the
+     whole range at the first key [>= hi]; return the next leaf. [acc]
+     is updated entry by entry, as [f] may raise [Stop] itself. *)
+  let fold_leaf page i =
+    let n = Node.nkeys page in
+    let stop = match hi with Some h -> Node.lower_bound page h | None -> n in
+    Node.fold_into page i (max i stop) f acc;
+    if stop < n then raise Stop;
     Node.next_leaf page
   in
   let rec down page_no =
     let next =
       visit t page_no (fun page ->
           if Node.is_leaf page then
-            Leaf
-              (fold_leaf page
-                 (match lo with Some l -> Node.lower_bound page l | None -> Node.header_size))
+            Leaf (fold_leaf page (match lo with Some l -> Node.lower_bound page l | None -> 0))
           else Child (match lo with Some l -> Node.child_for page l | None -> Node.child page 0))
     in
     match next with Leaf next -> along next | Child c -> down c
   and along = function
-    | Some page_no -> along (visit t page_no (fun page -> fold_leaf page Node.header_size))
+    | Some page_no -> along (visit t page_no (fun page -> fold_leaf page 0))
     | None -> ()
   in
   (try down t.root with Stop -> ());
@@ -540,7 +537,7 @@ let next_after t key =
 let rec rightmost_binding t page_no =
   match
     visit t page_no (fun page ->
-        if Node.is_leaf page then Leaf (binding_at page (Node.last_entry page))
+        if Node.is_leaf page then Leaf (binding_at page (Node.nkeys page - 1))
         else Child (Node.child page (Node.nkeys page)))
   with
   | Leaf b -> b
@@ -665,7 +662,10 @@ let verify t =
     | Some _ | None -> ()
   in
   let rec walk page_no lo hi ~is_root =
-    let node = load t page_no in
+    let node, mismatch =
+      visit t page_no (fun page -> (Node.decode page, Node.slot_mismatch page))
+    in
+    Option.iter (fail "page %d: slot %d is not its entry's offset" page_no) mismatch;
     let size = Node.encoded_size node in
     if size > page_size t then fail "page %d: oversized node (%d)" page_no size;
     if (not is_root) && node_underflows t node then

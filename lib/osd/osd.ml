@@ -107,6 +107,10 @@ module Config = struct
 end
 
 let magic = "hFADOSD1"
+
+(* Version 2: every B-tree page ends in a slot directory. A version-1
+   image has none, so it is refused rather than misread. *)
+let version = 2
 let superblock_page = 0
 let master_root_page = 1
 let journal_first_block = 2
@@ -166,7 +170,7 @@ let journal_blocks_of t =
 let write_superblock t =
   Pager.with_page_mut t.pgr superblock_page (fun page ->
       Bytes.blit_string magic 0 page 0 8;
-      Codec.put_u32 page 8 1;
+      Codec.put_u32 page 8 version;
       Codec.put_i64 page 12 (Oid.to_int64 t.next_oid);
       Codec.put_u32 page 20 (journal_blocks_of t);
       Codec.put_u16 page 24 (List.length t.named);
@@ -181,9 +185,9 @@ let write_superblock t =
 let decode_superblock page =
   if Bytes.sub_string page 0 8 <> magic then
     failwith "Osd.open_existing: bad superblock magic";
-  let version = Codec.get_u32 page 8 in
-  if version <> 1 then
-    Fmt.failwith "Osd.open_existing: unsupported version %d" version;
+  let found = Codec.get_u32 page 8 in
+  if found <> version then
+    Fmt.failwith "Osd.open_existing: unsupported version %d" found;
   let next_oid = Codec.get_i64 page 12 in
   let journal_blocks = Codec.get_u32 page 20 in
   let count = Codec.get_u16 page 24 in
@@ -827,6 +831,9 @@ let verify_object t oid =
 let verify t =
   shared t (fun () ->
       Btree.verify t.master;
+      List.iter
+        (fun (name, _) -> Option.iter Btree.verify (open_named_tree t name))
+        t.named;
       List.iter (verify_object t) (list_objects t))
 
 (* --- reopening ---------------------------------------------------------------- *)

@@ -542,30 +542,54 @@ let corrupt_leaf damage =
   Pager.with_page_mut pager (Btree.root t) damage;
   (t, pager)
 
-let check_corrupt_raises name (t, pager) =
+(* [~decode:false] when the damage is in the slot directory, which
+   [Node.decode] does not read. *)
+let check_corrupt_raises ?(decode = true) name (t, pager) =
   let raises what f =
     match f () with
     | _ -> Alcotest.failf "%s: %s did not raise" name what
     | exception (Failure _ | Invalid_argument _) -> ()
   in
-  raises "Node.decode" (fun () -> Pager.with_page pager (Btree.root t) Node.decode);
-  (* The probe key sorts after every real entry, so the scans reach the
-     damage. *)
+  if decode then
+    raises "Node.decode" (fun () -> Pager.with_page pager (Btree.root t) Node.decode);
+  (* The probe key sorts after every real entry, so the searches reach
+     the damage. *)
   raises "find" (fun () -> Btree.find t "z");
   raises "fold_range" (fun () -> Btree.to_list t);
-  raises "put" (fun () -> Btree.put t ~key:"z" ~value:"Z")
+  raises "put" (fun () -> Btree.put t ~key:"z" ~value:"Z");
+  raises "verify" (fun () -> Btree.verify t)
+
+(* The entries "a", "b", "c" lie at offsets 7, 11 and 15 and end at 19;
+   entry i's slot is the u16 at [256 - 2 (i + 1)]. *)
+let set_slot i off page = Bytes.set_uint16_be page (Bytes.length page - (2 * (i + 1))) off
 
 let test_corrupt_pages_raise () =
-  (* Zeroed tail: the phantom entries are ("", "") pairs until the scan
-     runs off the page. *)
   check_corrupt_raises "nkeys overstated"
     (corrupt_leaf (fun page -> Bytes.set_uint16_be page 1 0xFFFF));
-  (* "c" is the third entry, at offset 7 + 4 + 4; a two-byte varint
-     there claims 16383 key bytes. *)
+  (* 119 slots fit behind the header but start at offset 18, inside "c";
+     a walk of 119 entries (116 of them zero bytes) still ends inside the
+     page. *)
+  check_corrupt_raises "directory over the entries"
+    (corrupt_leaf (fun page -> Bytes.set_uint16_be page 1 119));
+  (* A two-byte varint at "c" claims 16383 key bytes. *)
   check_corrupt_raises "key past page end"
     (corrupt_leaf (fun page ->
          Bytes.set page 15 '\xff';
-         Bytes.set page 16 '\x7f'))
+         Bytes.set page 16 '\x7f'));
+  (* Every search probes the middle entry first. *)
+  check_corrupt_raises ~decode:false "slot into the header"
+    (corrupt_leaf (set_slot 1 3));
+  check_corrupt_raises ~decode:false "slot past the last entry"
+    (corrupt_leaf (set_slot 1 19));
+  (* Swapped slots still point at entries, so only [verify] sees them. *)
+  let t, _ =
+    corrupt_leaf (fun page ->
+        set_slot 0 11 page;
+        set_slot 1 7 page)
+  in
+  match Btree.verify t with
+  | () -> Alcotest.fail "swapped slots: verify passed"
+  | exception Failure _ -> ()
 
 (* --- properties --------------------------------------------------------- *)
 

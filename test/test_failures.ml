@@ -138,6 +138,69 @@ let test_image_missing_file () =
     Alcotest.fail "missing file accepted"
   with Device.Io_error _ -> ()
 
+(* Two swapped slots still point at entries, so reads go on; the image
+   check must see them in every named tree, the attribute tree and one
+   that no index reads. *)
+let test_bad_directory_fails_verify () =
+  List.iter
+    (fun tree ->
+      let dev = Device.create ~block_size:512 ~blocks:1024 () in
+      let fs = Fs.format ~config:(Fs.Config.v ~index_mode:Fs.Eager ()) dev in
+      let osd = Fs.osd_of_shard fs 0 in
+      let spare = Osd.named_tree osd "spare" in
+      List.iter
+        (fun name ->
+          ignore (Fs.create_exn fs ~names:[ (Tag.Udef, name) ] ~content:"");
+          Btree.put spare ~key:name ~value:"")
+        [ "a"; "b"; "c" ];
+      Fs.verify fs;
+      Pager.with_page_mut (Osd.pager osd) (List.assoc tree (Osd.named_roots osd))
+        (fun page ->
+          let slot i = Bytes.length page - (2 * (i + 1)) in
+          let first = Bytes.get_uint16_be page (slot 0) in
+          Bytes.set_uint16_be page (slot 0) (Bytes.get_uint16_be page (slot 1));
+          Bytes.set_uint16_be page (slot 1) first);
+      match Fs.verify fs with
+      | () -> Alcotest.failf "swapped slots in %s passed Fs.verify" tree
+      | exception Failure _ -> ())
+    [ "attrs"; "spare" ]
+
+(* A checkpointed image whose superblock says version 1 (B-tree pages
+   without a slot directory) is refused by name, before anything is
+   written, with and without a journal. *)
+let test_image_old_version_refused () =
+  List.iter
+    (fun journal_pages ->
+      let path = Filename.temp_file "hfad_test" ".img" in
+      Fun.protect
+        ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+        (fun () ->
+          let dev = Device.create ~block_size:512 ~blocks:1024 () in
+          let fs =
+            Fs.format ~config:(Fs.Config.v ~journal_pages ~index_mode:Fs.Eager ()) dev
+          in
+          ignore (Fs.create_exn fs ~names:[ (Tag.Udef, "old") ] ~content:"old layout");
+          Fs.sync_exn ~mode:`Checkpoint fs;
+          Fs.close fs;
+          (* The version is the u32 after the superblock's 8-byte magic. *)
+          let super = Device.read_block dev 0 in
+          Bytes.set_int32_be super 8 1l;
+          Device.write_block dev 0 super;
+          Device.save dev path;
+          let old = Device.load path in
+          let what = Printf.sprintf "journal_pages %d" journal_pages in
+          (match Fs.open_existing old with
+          | Ok _ -> Alcotest.failf "%s: a version-1 image opened" what
+          | Error e ->
+              let msg = Fs.error_message e in
+              check Alcotest.bool
+                (Printf.sprintf "%s: %S names version 1" what msg)
+                true
+                (String.ends_with ~suffix:"unsupported version 1" msg));
+          check Alcotest.int (what ^ ": no device write") 0
+            (Device.stats old).Device.writes))
+    [ 0; 64 ]
+
 (* --- fault propagation -------------------------------------------------------- *)
 
 let test_write_fault_propagates_through_osd () =
@@ -710,6 +773,10 @@ let suite =
     Alcotest.test_case "image is sparse" `Quick test_image_sparse;
     Alcotest.test_case "image rejects garbage" `Quick test_image_rejects_garbage;
     Alcotest.test_case "image missing file" `Quick test_image_missing_file;
+    Alcotest.test_case "image of an older version refused" `Quick
+      test_image_old_version_refused;
+    Alcotest.test_case "bad slot directory fails Fs.verify" `Quick
+      test_bad_directory_fails_verify;
     Alcotest.test_case "write fault through OSD" `Quick
       test_write_fault_propagates_through_osd;
     Alcotest.test_case "read fault through Fs" `Quick
