@@ -44,7 +44,7 @@ let run () =
   say "";
   say "draining the lazy backlog in batches of %d:" (drain_batch ());
   let expected = List.length (Fs.search fs_eager "budget") in
-  let store = Fs.index fs_lazy in
+  let store = Fs.index_of_shard fs_lazy 0 in
   (* (backlog, 'budget' hits) after each batch, newest first. *)
   let samples = ref [] in
   let record () =

@@ -17,7 +17,6 @@ module P = Hfad_posix.Posix_fs
 module Corpus = Hfad_workload.Corpus
 module Load = Hfad_workload.Load
 module Image_index = Hfad_index.Image_index
-module Index_store = Hfad_index.Index_store
 
 let say fmt = Format.printf (fmt ^^ "@.")
 
@@ -56,10 +55,12 @@ let () =
   (* Similarity: find near-duplicate shots by perceptual hash. *)
   say "";
   say "image similarity (the plug-in index of paper section 4):";
-  let image_index = Index_store.image (Fs.index fs) in
   let sample = List.nth photos 7 in
   let sample_hash = Image_index.hash_of_bytes sample.Corpus.pixels in
-  let near = Image_index.lookup_near image_index sample_hash ~max_distance:8 in
+  let near =
+    Image_index.near sample_hash ~max_distance:8
+      (Fs.list_names fs (Tag.Custom "IMAGE") ~prefix:"")
+  in
   say "  photos within hamming distance 8 of %s: %d"
     (Hfad_posix.Path.basename sample.Corpus.photo_path)
     (List.length near);

@@ -356,7 +356,6 @@ let config t = t.config
 let journaled t = Osd.journaled (shard0 t).s_osd
 let device t = t.dev
 let osd t = (shard0 t).s_osd
-let index t = (shard0 t).s_index
 let index_mode t = t.config.Config.index_mode
 let rwlock t = (shard0 t).s_lock
 let shard_count t = nshards t

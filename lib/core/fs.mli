@@ -244,17 +244,18 @@ val device : t -> Hfad_blockdev.Device.t
 (** The parent (whole) device, whatever the shard count. *)
 
 val osd : t -> Hfad_osd.Osd.t
-(** Shard 0's OSD — the whole stack when unsharded. Use
-    {!osd_of_shard} on sharded stacks. *)
-
-val index : t -> Hfad_index.Index_store.t
-(** Shard 0's index store (local OIDs; see {!index_of_shard}). *)
+(** Shard 0's OSD — the whole stack when unsharded. Kept for the
+    repository benchmark's counters ([perfbench/]), which read it; any
+    other caller names the shard with {!osd_of_shard}. Index stores are
+    reached per shard only ({!index_of_shard}); names go through the
+    naming interfaces. *)
 
 val index_mode : t -> index_mode
 
 val rwlock : t -> Hfad_util.Rwlock.t
 (** Shard 0's stack-wide shared/exclusive lock (the OSD's); read its
-    {!Hfad_util.Rwlock.stats} to see this instance's lock footprint. *)
+    {!Hfad_util.Rwlock.stats} to see this instance's lock footprint.
+    Kept, like {!osd}, for the repository benchmark, which reads it. *)
 
 (** {1 Shards}
 

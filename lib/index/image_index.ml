@@ -1,10 +1,5 @@
 module Oid = Hfad_osd.Oid
 
-type t = { kv : Kv_index.t }
-
-let create tree ~namespace = { kv = Kv_index.create tree ~namespace }
-let kv t = t.kv
-
 let hash_of_bytes payload =
   let n = String.length payload in
   if n = 0 then 0L
@@ -47,19 +42,14 @@ let hamming a b =
   in
   popcount (Int64.logxor a b) 0
 
-let add_hash t oid h = Kv_index.add t.kv oid (hash_to_value h)
-let add t oid payload = add_hash t oid (hash_of_bytes payload)
-let remove t oid = ignore (Kv_index.drop_object t.kv oid)
-let lookup_exact t h = Kv_index.lookup t.kv (hash_to_value h)
-
-let lookup_near t h ~max_distance =
-  Kv_index.fold_values t.kv ~init:[] (fun acc value oid ->
-      let d = hamming h (value_to_hash value) in
-      if d <= max_distance then (oid, d) :: acc else acc)
+(* IMAGE is an ordinary namespace, so a value that is not a hash is
+   some other name, not a match. *)
+let near h ~max_distance names =
+  List.filter_map
+    (fun (value, oid) ->
+      match hamming h (value_to_hash value) with
+      | d when d <= max_distance -> Some (oid, d)
+      | _ | (exception Invalid_argument _) -> None)
+    names
   |> List.sort (fun (oa, da) (ob, db) ->
-         match compare da db with 0 -> Oid.compare oa ob | c -> c)
-
-let hash_of t oid =
-  match Kv_index.values_of t.kv oid with
-  | value :: _ -> Some (value_to_hash value)
-  | [] -> None
+         match Int.compare da db with 0 -> Oid.compare oa ob | c -> c)

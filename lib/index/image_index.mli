@@ -1,4 +1,5 @@
-(** Similarity index for image-like data — the paper's plug-in example.
+(** Image hashes — the paper's plug-in example, as a codec and a
+    distance filter.
 
     §3.2: "neither a full-text index nor a key/value store is likely to
     be suitable for image indexing", and §4 asks whether hFAD should
@@ -13,19 +14,18 @@
     pixel perturbations) land within a small Hamming distance — the
     property real perceptual hashes (pHash/aHash) provide for photos.
 
-    Storage reuses {!Kv_index} with the hash rendered as 16 hex digits,
-    so exact-duplicate lookup is an index descent; similarity lookup
-    scans the hash space and filters by Hamming distance. *)
-
-type t
-
-val create : Hfad_btree.Btree.t -> namespace:string -> t
+    The hash is stored as an ordinary name: [Custom "IMAGE"] with the
+    hash rendered as 16 hex digits ({!hash_to_value}), attached with
+    [Fs.name] like any other tag, so it is routed, journaled, captured
+    by snapshots and dropped with its object. Exact-duplicate lookup is
+    [Fs.lookup]; similarity lookup is {!near} over
+    [Fs.list_names fs (Custom "IMAGE") ~prefix:""]. *)
 
 val hash_of_bytes : string -> int64
 (** The 64-bit average hash of a payload. Empty input hashes to 0. *)
 
 val hash_to_value : int64 -> string
-(** 16-digit lowercase hex, the value stored in the index. *)
+(** 16-digit lowercase hex, the [IMAGE] name's value. *)
 
 val value_to_hash : string -> int64
 (** @raise Invalid_argument on malformed input. *)
@@ -33,23 +33,12 @@ val value_to_hash : string -> int64
 val hamming : int64 -> int64 -> int
 (** Bit distance between two hashes. *)
 
-val add : t -> Hfad_osd.Oid.t -> string -> unit
-(** Index an object by the hash of its payload bytes. *)
-
-val add_hash : t -> Hfad_osd.Oid.t -> int64 -> unit
-(** Index a precomputed hash (workload generators use this). *)
-
-val remove : t -> Hfad_osd.Oid.t -> unit
-(** Drop all hashes recorded for the object. *)
-
-val lookup_exact : t -> int64 -> Hfad_osd.Oid.t list
-(** Objects whose payload hash is exactly this. *)
-
-val lookup_near : t -> int64 -> max_distance:int -> (Hfad_osd.Oid.t * int) list
-(** Objects within [max_distance] bits, sorted by distance then OID. *)
-
-val hash_of : t -> Hfad_osd.Oid.t -> int64 option
-(** The recorded hash of an object, if indexed. *)
-
-val kv : t -> Kv_index.t
-(** The underlying attribute index (for the store's generic plumbing). *)
+val near :
+  int64 ->
+  max_distance:int ->
+  (string * Hfad_osd.Oid.t) list ->
+  (Hfad_osd.Oid.t * int) list
+(** [near h ~max_distance names] keeps the [(value, oid)] names whose
+    hash lies within [max_distance] bits of [h], as [(oid, distance)]
+    sorted by distance, then OID. A value that is not a hash matches
+    nothing. *)

@@ -19,12 +19,13 @@ type t = {
       (* Objects whose content changed since their last reindex; read
          and written under [lock]. *)
   kv : (string, Kv_index.t) Hashtbl.t;
+      (* One slice per namespace: every namespace the attrs tree held at
+         open, plus each one named since. *)
   kv_mutex : Mutex.t;  (* guards the [kv] slice cache only *)
   lock : Rwlock.t;
       (* The owning OSD's lock: queries take the shared side, index
          mutations the exclusive side, so index state and object state
          stay mutually consistent under concurrent domains. *)
-  image : Image_index.t;
 }
 
 let shared t f = Rwlock.with_shared t.lock f
@@ -33,21 +34,22 @@ let exclusive t f = Rwlock.with_exclusive t.lock f
 let c_lookups = Registry.counter Registry.global "index.lookups"
 let c_queries = Registry.counter Registry.global "index.queries"
 
-let image_tag = Tag.Custom "IMAGE"
-
 let create osd =
   let attrs = Osd.named_tree osd "attrs" in
   let ft_tree = Osd.named_tree osd "fulltext" in
   let fulltext = Fulltext.create ft_tree in
+  let kv = Hashtbl.create 8 in
+  List.iter
+    (fun ns -> Hashtbl.replace kv ns (Kv_index.create attrs ~namespace:ns))
+    (Kv_index.namespaces attrs);
   {
     osd;
     attrs;
     fulltext;
     dirty = Oid_set.empty;
-    kv = Hashtbl.create 8;
+    kv;
     kv_mutex = Mutex.create ();
     lock = Osd.rwlock osd;
-    image = Image_index.create attrs ~namespace:(Tag.to_string image_tag);
   }
 
 let kv_index t tag =
@@ -55,17 +57,15 @@ let kv_index t tag =
   | Tag.Fulltext | Tag.Id -> raise (Unsupported_tag tag)
   | Tag.Posix | Tag.User | Tag.Udef | Tag.App | Tag.Custom _ ->
       let name = Tag.to_string tag in
-      Mutex.lock t.kv_mutex;
-      let kv =
-        match Hashtbl.find_opt t.kv name with
-        | Some kv -> kv
-        | None ->
-            let kv = Kv_index.create t.attrs ~namespace:name in
-            Hashtbl.replace t.kv name kv;
-            kv
-      in
-      Mutex.unlock t.kv_mutex;
-      kv
+      (* [Kv_index.create] refuses some names: the mutex must not stay
+         locked behind it. *)
+      Mutex.protect t.kv_mutex (fun () ->
+          match Hashtbl.find_opt t.kv name with
+          | Some kv -> kv
+          | None ->
+              let kv = Kv_index.create t.attrs ~namespace:name in
+              Hashtbl.replace t.kv name kv;
+              kv)
 
 (* --- attribute tagging ---------------------------------------------------- *)
 
@@ -86,27 +86,22 @@ let remove t oid tag value =
   traced_tag "remove" tag @@ fun () ->
   exclusive t (fun () -> Kv_index.remove (kv_index t tag) oid value)
 
+(* The tag a namespace belongs to. Total, unlike [Tag.of_string]: any
+   namespace found in the tree can be listed. *)
+let tag_of_namespace name =
+  match List.find_opt (fun tag -> Tag.to_string tag = name) Tag.builtin with
+  | Some tag -> tag
+  | None -> Tag.Custom name
+
+let slices t = Mutex.protect t.kv_mutex (fun () -> Hashtbl.to_seq t.kv |> List.of_seq)
+
 let values_of t oid =
   shared t @@ fun () ->
-  (* The image plug-in shares the attribute tree, so its namespace is
-     covered by iterating the registered KV slices plus IMAGE. *)
-  let tags =
-    image_tag
-    :: List.filter
-         (fun tag -> match tag with Tag.Fulltext | Tag.Id -> false | _ -> true)
-         Tag.builtin
-  in
-  let custom =
-    Hashtbl.fold
-      (fun name _ acc ->
-        let tag = Tag.of_string name in
-        if List.exists (Tag.equal tag) tags then acc else tag :: acc)
-      t.kv []
-  in
   List.concat_map
-    (fun tag ->
-      List.map (fun v -> (tag, v)) (Kv_index.values_of (kv_index t tag) oid))
-    (tags @ custom)
+    (fun (name, kv) ->
+      let tag = tag_of_namespace name in
+      List.map (fun v -> (tag, v)) (Kv_index.values_of kv oid))
+    (slices t)
   |> List.sort (fun (ta, va) (tb, vb) ->
          match Tag.compare ta tb with 0 -> String.compare va vb | c -> c)
 
@@ -148,7 +143,6 @@ let drain ?(max_items = max_int) t =
   go 0
 
 let fulltext t = t.fulltext
-let image t = t.image
 
 (* --- naming ------------------------------------------------------------------ *)
 
@@ -255,6 +249,5 @@ let drop_object t oid =
 
 let verify t =
   shared t (fun () ->
-      Hashtbl.iter (fun _ kv -> Kv_index.verify kv) t.kv;
-      Kv_index.verify (Image_index.kv t.image);
+      List.iter (fun (_, kv) -> Kv_index.verify kv) (slices t);
       Fulltext.verify t.fulltext)

@@ -6,14 +6,18 @@
     appropriate index implementation:
 
     - [Posix], [User], [Udef], [App], [Custom _] → {!Kv_index} slices of
-      one shared attribute B-tree;
+      one shared attribute B-tree, one namespace per tag. An image hash
+      ({!Image_index}) is one of these names, under [Custom "IMAGE"];
     - [Fulltext] → the {!Hfad_fulltext.Fulltext} inverted index, a view
       of the objects' current bytes: mutations {!mark_dirty} an object
       and a {!drain} reindexes it (lazily, per §3.4);
     - [Id] → no index at all: the value {e is} the OID (Table 1's
-      fast path);
-    - [Custom "IMAGE"] additionally exposes similarity search through
-      {!Image_index}.
+      fast path).
+
+    The slice registry is read from the tree: {!create} registers every
+    namespace the attribute tree holds ({!Kv_index.namespaces}), and a
+    tag used later adds its own. So {!values_of}, {!drop_object} and
+    {!verify}, which visit the registry, see every name after a reopen.
 
     Conjunctive queries intersect per-pair results cheapest-first, using
     each index's selectivity estimate — the tag-based query-processing
@@ -30,12 +34,14 @@
     {!values_of}, {!backlog} and {!verify} hold the shared side; {!add},
     {!remove}, {!drop_object}, {!mark_dirty} and {!drain} hold the
     exclusive side, so the dirty set needs no lock of its own. The
-    per-tag slice registry is guarded by a private mutex. *)
+    per-tag slice registry is guarded by a private mutex, released when
+    its section raises. *)
 
 type t
 
 val create : Hfad_osd.Osd.t -> t
-(** Open (or bootstrap) the index stores of an OSD. *)
+(** Open (or bootstrap) the index stores of an OSD, registering every
+    namespace of its attribute tree (one B-tree seek each). *)
 
 exception Unsupported_tag of Tag.t
 (** Raised when a tag cannot back the requested operation (e.g. [add]
@@ -50,8 +56,9 @@ val add : t -> Hfad_osd.Oid.t -> Tag.t -> string -> unit
     @raise Kv_index.Value_not_indexable for malformed values. *)
 
 val check : t -> Tag.t -> string -> unit
-(** Raise what {!add} would raise for this pair ({!Unsupported_tag} or
-    {!Kv_index.Value_not_indexable}); change nothing. *)
+(** Raise what {!add} would raise for this pair ({!Unsupported_tag},
+    {!Kv_index.Value_not_indexable}, or [Invalid_argument] for a tag
+    whose name {!Kv_index.create} refuses); change nothing. *)
 
 val remove : t -> Hfad_osd.Oid.t -> Tag.t -> string -> bool
 
@@ -97,14 +104,11 @@ val contains : t -> Hfad_osd.Oid.t -> Tag.t * string -> bool
     probes candidates against popular pairs instead of scanning their
     postings (ablation A1 measures the difference). *)
 
-(** {1 Prefix and similarity queries} *)
+(** {1 Prefix queries} *)
 
 val lookup_prefix : t -> Tag.t -> string -> (string * Hfad_osd.Oid.t) list
 (** Attribute pairs whose value starts with a prefix (POSIX directory
     listings). @raise Unsupported_tag for [Fulltext]/[Id]. *)
-
-val image : t -> Image_index.t
-(** The image similarity plug-in (namespace [Custom "IMAGE"]). *)
 
 (** {1 Maintenance} *)
 

@@ -1,6 +1,5 @@
 module Btree = Hfad_btree.Btree
 module Oid = Hfad_osd.Oid
-module Strx = Hfad_util.Strx
 
 exception Value_not_indexable of string
 
@@ -18,6 +17,26 @@ let create tree ~namespace =
   }
 
 let max_value_len t = t.max_value_len
+
+(* Every key of namespace [ns] starts [ns '\001'] or [ns '\002'], and
+   no namespace holds either byte. So a key's namespace ends at its
+   first such byte, and no other namespace has a key in
+   [\[ns '\001', ns '\003')]: one seek to [ns '\003'] skips all of [ns]. *)
+let namespaces tree =
+  let rec namespace_of k i =
+    if i = String.length k then
+      failwith "Kv_index.namespaces: key outside any namespace"
+    else if k.[i] = '\001' || k.[i] = '\002' then String.sub k 0 i
+    else namespace_of k (i + 1)
+  in
+  let rec scan from acc =
+    match Btree.seek tree from with
+    | None -> List.rev acc
+    | Some (k, _) ->
+        let ns = namespace_of k 0 in
+        scan (ns ^ "\003") (ns :: acc)
+  in
+  scan "" []
 
 let check_value t value =
   if String.contains value '\000' then raise (Value_not_indexable value);
@@ -55,18 +74,6 @@ let lookup_prefix t prefix =
   Btree.fold_prefix t.tree ~prefix:(t.fwd ^ prefix) ~init:[] (fun acc k _ ->
       split_fwd t k :: acc)
   |> List.rev
-
-let fold_values t ?lo ?hi ~init f =
-  let lo = Option.map (fun v -> t.fwd ^ v) lo in
-  let hi =
-    match hi with
-    | Some v -> Some (t.fwd ^ v)
-    | None -> Strx.next_prefix t.fwd
-  in
-  Btree.fold_range t.tree ?lo:(Some (Option.value lo ~default:t.fwd)) ?hi ~init
-    (fun acc k _ ->
-      let value, oid = split_fwd t k in
-      f acc value oid)
 
 let values_of t oid =
   let prefix = t.rev ^ Oid.to_key oid in

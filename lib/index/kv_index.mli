@@ -1,5 +1,5 @@
 (** Key/value string index — the workhorse behind POSIX, USER, UDEF, APP
-    and custom attribute tags.
+    and custom attribute tags, image hashes (IMAGE) included.
 
     "A key/value store suffices for simple attributes" (§3.2). One
     namespaced slice of a shared B-tree holds both directions of the
@@ -20,6 +20,14 @@ type t
 val create : Hfad_btree.Btree.t -> namespace:string -> t
 (** A view over [tree]; distinct namespaces on one tree are independent
     indexes. The namespace must not contain ['\001'] or ['\002']. *)
+
+val namespaces : Hfad_btree.Btree.t -> string list
+(** Every namespace with at least one key in [tree], in key order. A
+    skip-scan: one {!Hfad_btree.Btree.seek} per namespace, from [""]
+    and then from [ns '\003'], which sorts above every key of [ns]
+    (they all start [ns '\001'] or [ns '\002']).
+    @raise Failure on a key that holds neither byte (not an index
+    key). *)
 
 val max_value_len : t -> int
 (** Longest value this index accepts. *)
@@ -44,10 +52,6 @@ val lookup : t -> string -> Hfad_osd.Oid.t list
 val lookup_prefix : t -> string -> (string * Hfad_osd.Oid.t) list
 (** [(value, oid)] pairs whose value starts with the prefix, in
     (value, OID) order — directory listings for the POSIX veneer. *)
-
-val fold_values :
-  t -> ?lo:string -> ?hi:string -> init:'a -> ('a -> string -> Hfad_osd.Oid.t -> 'a) -> 'a
-(** Fold associations with value in [\[lo, hi)]. *)
 
 val values_of : t -> Hfad_osd.Oid.t -> string list
 (** Values carried by an object, sorted. *)

@@ -16,7 +16,7 @@
                    caching inside applications").
 
     [Custom] covers §4's open question about arbitrary plug-in index
-    types (our image index registers as [Custom "image"]). *)
+    types: an image hash is an ordinary [Custom "IMAGE"] name. *)
 
 type t =
   | Posix

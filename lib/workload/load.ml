@@ -3,7 +3,6 @@ module P = Hfad_posix.Posix_fs
 module Path = Hfad_posix.Path
 module Tag = Hfad_index.Tag
 module Image_index = Hfad_index.Image_index
-module Index_store = Hfad_index.Index_store
 module H = Hfad_hierfs.Hierfs
 
 let ensure_parent p path = P.mkdir_p_exn p (Path.parent path)
@@ -20,7 +19,8 @@ let photo_into_hfad p (photo : Corpus.photo) =
   (match photo.Corpus.people with
   | owner :: _ -> Fs.name_exn fs oid Tag.User owner
   | [] -> ());
-  Image_index.add (Index_store.image (Fs.index fs)) oid photo.Corpus.pixels;
+  Fs.name_exn fs oid (Tag.Custom "IMAGE")
+    (Image_index.hash_to_value (Image_index.hash_of_bytes photo.Corpus.pixels));
   oid
 
 let photos_into_hfad p photos = List.map (photo_into_hfad p) photos

@@ -3,9 +3,10 @@
     For hFAD, attributes become tags (Table 1's manual/application rows):
     photo subjects and places are [UDEF] annotations, the owner is
     [USER], the importing application / camera go to [APP] and a custom
-    tag, captions and bodies feed the full-text index, pixels feed the
-    image index. The POSIX veneer also gets the canonical path, so both
-    naming worlds coexist.
+    tag, captions and bodies feed the full-text index, and the pixels'
+    hash becomes an [IMAGE] name ({!Hfad_index.Image_index}). The POSIX
+    veneer also gets the canonical path, so both naming worlds
+    coexist.
 
     For the hierarchical baseline the {e only} name is the path — which
     is the paper's whole point — and content search goes through the
@@ -13,8 +14,9 @@
 
 val photo_into_hfad :
   Hfad_posix.Posix_fs.t -> Corpus.photo -> Hfad_osd.Oid.t
-(** Create the file (path + content = caption), tag it, and feed the
-    image index with the pixel hash. *)
+(** Create the file (path + content = caption), tag it, and name it
+    [IMAGE/<pixel hash>] — every name through [Fs], so it lands on the
+    object's own shard. *)
 
 val photos_into_hfad :
   Hfad_posix.Posix_fs.t -> Corpus.photo list -> Hfad_osd.Oid.t list

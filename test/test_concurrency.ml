@@ -154,6 +154,23 @@ let test_concurrent_writers_serialize () =
   Fs.drain_index fs;
   Fs.verify fs
 
+(* A tag the index refuses must not leave the shard's slice registry
+   locked: the next name on the same thread and a lookup on another
+   domain both complete. *)
+let test_refused_tag_does_not_wedge () =
+  let fs = mk () in
+  let oid = Fs.create_exn fs ~names:[ (Tag.Udef, "k") ] in
+  (match Fs.name fs oid (Tag.Custom "a\001b") "x" with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "a tag with a reserved byte must raise");
+  Fs.name_exn fs oid Tag.User "margo";
+  check
+    (Alcotest.list (Alcotest.testable Oid.pp Oid.equal))
+    "lookup on another domain" [ oid ]
+    (Watchdog.within "lookup on another domain" (fun () ->
+         Fs.lookup fs [ (Tag.User, "margo") ]));
+  Fs.verify fs
+
 let suite =
   [
     Alcotest.test_case "readers vs writer stress" `Slow test_readers_vs_writer;
@@ -161,4 +178,6 @@ let suite =
       test_pure_readers_take_no_exclusive_locks;
     Alcotest.test_case "concurrent writers serialize" `Quick
       test_concurrent_writers_serialize;
+    Alcotest.test_case "refused tag does not wedge the shard" `Quick
+      test_refused_tag_does_not_wedge;
   ]

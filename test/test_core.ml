@@ -2,6 +2,8 @@
    (Hfad.Refine). *)
 
 module Device = Hfad_blockdev.Device
+module Btree = Hfad_btree.Btree
+module Osd = Hfad_osd.Osd
 module Oid = Hfad_osd.Oid
 module Meta = Hfad_osd.Meta
 module Tag = Hfad_index.Tag
@@ -10,6 +12,7 @@ module Refine = Hfad.Refine
 
 let check = Alcotest.check
 let oid_t = Alcotest.testable Oid.pp Oid.equal
+let tag_t = Alcotest.testable Tag.pp Tag.equal
 
 let mk ?(index_mode = Fs.Eager) () =
   let dev = Device.create ~block_size:1024 ~blocks:16384 () in
@@ -161,6 +164,37 @@ let test_survives_reopen () =
   check Alcotest.string "bytes survive" "durable native state"
     (Fs.read_all fs2 oid);
   Fs.verify fs2
+
+(* A namespace nobody has named since the reopen is still read from the
+   attrs tree: listed, deleted with its object, and verified. *)
+let test_names_survive_reopen () =
+  let dev = Device.create ~block_size:1024 ~blocks:16384 () in
+  let config = Fs.Config.v ~cache_pages:256 ~journal_pages:64 () in
+  let fs = Fs.format ~config dev in
+  let oid =
+    Fs.create_exn fs ~names:[ (Tag.User, "margo"); (Tag.Custom "camera", "nikon") ]
+  in
+  Fs.sync_exn ~mode:`Checkpoint fs;
+  let reopen () = Fs.open_existing_exn ~config dev in
+  (* A reverse key removed by hand, in the cache only (nothing
+     checkpoints it), must fail the first verify after a reopen. *)
+  let fs2 = reopen () in
+  let attrs = Osd.named_tree (Fs.osd_of_shard fs2 0) "attrs" in
+  check Alcotest.bool "reverse key removed" true
+    (Btree.remove attrs ("CAMERA\002" ^ Oid.to_key oid ^ "nikon"));
+  (match Fs.verify fs2 with
+  | () -> Alcotest.fail "verify missed a forward key without its reverse"
+  | exception Failure _ -> ());
+  let fs3 = reopen () in
+  check
+    (Alcotest.list (Alcotest.pair tag_t Alcotest.string))
+    "names_of lists the custom name"
+    [ (Tag.Custom "CAMERA", "nikon"); (Tag.User, "margo") ]
+    (Fs.names_of fs3 oid);
+  Fs.delete_exn fs3 oid;
+  check (Alcotest.list oid_t) "deleted with its object" []
+    (Fs.lookup fs3 [ (Tag.Custom "camera", "nikon") ]);
+  Fs.verify fs3
 
 (* --- Refine ----------------------------------------------------------------- *)
 
@@ -315,4 +349,6 @@ let suite =
     Alcotest.test_case "refine root on 4 shards" `Quick
       test_refine_root_spans_shards;
     Alcotest.test_case "query_string via Fs" `Quick test_query_string_through_fs;
+    Alcotest.test_case "every namespace survives reopen" `Quick
+      test_names_survive_reopen;
   ]

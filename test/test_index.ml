@@ -128,6 +128,25 @@ let test_kv_namespaces_isolated () =
   Kv_index.verify users;
   Kv_index.verify apps
 
+(* The registry's source: one seek per namespace, in key order, with
+   names that sort inside and around one another's key ranges. *)
+let test_kv_namespace_scan () =
+  let tree = mk_tree () in
+  check (Alcotest.list Alcotest.string) "empty tree" [] (Kv_index.namespaces tree);
+  List.iteri
+    (fun i ns -> Kv_index.add (Kv_index.create tree ~namespace:ns) (oid (i + 1)) "v")
+    [ "Z"; "AB"; "A\003"; "A"; "A\000X"; "" ];
+  let a = Kv_index.create tree ~namespace:"A" in
+  for i = 1 to 300 do
+    Kv_index.add a (oid i) (Printf.sprintf "value-%03d" i)
+  done;
+  let before = (Btree.stats tree).Btree.descents in
+  check (Alcotest.list Alcotest.string) "every namespace, in key order"
+    [ ""; "A\000X"; "A"; "A\003"; "AB"; "Z" ]
+    (Kv_index.namespaces tree);
+  check Alcotest.int "one seek per namespace, one past the last" 7
+    ((Btree.stats tree).Btree.descents - before)
+
 let test_kv_rejects_bad_values () =
   let kv = Kv_index.create (mk_tree ()) ~namespace:"T" in
   (try
@@ -195,31 +214,51 @@ let test_image_hex_roundtrip () =
   check Alcotest.string "16 digits" "00000000000000ff"
     (Image_index.hash_to_value 255L)
 
+(* An image hash is an ordinary IMAGE name: exact lookup is a lookup,
+   and similarity filters the namespace's listing. *)
+let image = Tag.Custom "IMAGE"
+
+let image_hash store oid =
+  List.find_map
+    (fun (tag, v) ->
+      if Tag.equal tag image then Some (Image_index.value_to_hash v) else None)
+    (Index_store.values_of store oid)
+
 let test_image_lookup () =
-  let ii = Image_index.create (mk_tree ()) ~namespace:"IMAGE" in
+  let _, osd, store = mk_store () in
+  let o1 = Osd.create_object osd in
+  let o2 = Osd.create_object osd in
+  let o3 = Osd.create_object osd in
+  let o4 = Osd.create_object osd in
+  let name o h = Index_store.add store o image (Image_index.hash_to_value h) in
   let rng = Hfad_util.Rng.create 3L in
   let img = fake_image rng 2048 in
   let h = Image_index.hash_of_bytes img in
-  Image_index.add ii (oid 1) img;
+  name o1 h;
   (* A near-duplicate at a known Hamming distance of 2. *)
-  Image_index.add_hash ii (oid 2) (Int64.logxor h 3L);
-  Image_index.add ii (oid 3) (fake_image rng 2048);
-  check (Alcotest.list oid_t) "exact" [ oid 1 ] (Image_index.lookup_exact ii h);
-  let near = Image_index.lookup_near ii h ~max_distance:4 in
+  name o2 (Int64.logxor h 3L);
+  name o3 (Image_index.hash_of_bytes (fake_image rng 2048));
+  (* Any other IMAGE name is no hash, and matches nothing. *)
+  Index_store.add store o4 image "not-a-hash";
+  check (Alcotest.list oid_t) "exact" [ o1 ]
+    (Index_store.lookup store (image, Image_index.hash_to_value h));
+  let near =
+    Image_index.near h ~max_distance:4 (Index_store.lookup_prefix store image "")
+  in
   let ids = List.map fst near in
-  check Alcotest.bool "original found" true (List.exists (Oid.equal (oid 1)) ids);
+  check Alcotest.bool "original found" true (List.exists (Oid.equal o1) ids);
   check Alcotest.bool "near-duplicate found" true
-    (List.exists (Oid.equal (oid 2)) ids);
+    (List.exists (Oid.equal o2) ids);
   check Alcotest.bool "unrelated excluded" true
-    (not (List.exists (Oid.equal (oid 3)) ids));
+    (not (List.exists (Oid.equal o3) ids));
+  check Alcotest.bool "non-hash value skipped" true
+    (not (List.exists (Oid.equal o4) ids));
   (match near with
-  | (first, 0) :: _ -> check oid_t "exact match ranks first" (oid 1) first
+  | (first, 0) :: _ -> check oid_t "exact match ranks first" o1 first
   | _ -> Alcotest.fail "expected zero-distance first");
-  check (Alcotest.option Alcotest.int64) "hash_of" (Some h)
-    (Image_index.hash_of ii (oid 1));
-  Image_index.remove ii (oid 1);
-  check (Alcotest.option Alcotest.int64) "removed" None
-    (Image_index.hash_of ii (oid 1))
+  check (Alcotest.option Alcotest.int64) "hash_of" (Some h) (image_hash store o1);
+  ignore (Index_store.remove store o1 image (Image_index.hash_to_value h));
+  check (Alcotest.option Alcotest.int64) "removed" None (image_hash store o1)
 
 (* --- Index_store ------------------------------------------------------------------ *)
 
@@ -356,21 +395,35 @@ let test_store_custom_tag () =
   check
     (Alcotest.list (Alcotest.pair tag_t Alcotest.string))
     "listed" [ (Tag.Custom "CAMERA", "nikon-d90") ]
-    (Index_store.values_of store o1)
+    (Index_store.values_of store o1);
+  (* A namespace pair notation cannot spell is still a name: listed and
+     dropped with its object. *)
+  Index_store.add store o1 (Tag.Custom "lens/mm") "50";
+  check
+    (Alcotest.list (Alcotest.pair tag_t Alcotest.string))
+    "unparseable namespace listed"
+    [ (Tag.Custom "CAMERA", "nikon-d90"); (Tag.Custom "LENS/MM", "50") ]
+    (Index_store.values_of store o1);
+  Index_store.drop_object store o1;
+  check (Alcotest.list oid_t) "dropped" []
+    (Index_store.lookup store (Tag.Custom "lens/mm", "50"))
 
 let test_store_image_plugin () =
   let _, osd, store = mk_store () in
   let o1 = Osd.create_object osd in
   let img = String.init 1024 (fun i -> Char.chr (i * 7 mod 256)) in
-  Image_index.add (Index_store.image store) o1 img;
-  let h = Image_index.hash_of_bytes img in
+  let h = Image_index.hash_to_value (Image_index.hash_of_bytes img) in
+  Index_store.add store o1 image h;
   check (Alcotest.list oid_t) "plugin lookup" [ o1 ]
-    (Image_index.lookup_exact (Index_store.image store) h)
+    (Index_store.lookup store (image, h))
 
 let test_store_survives_reopen () =
   let dev, osd, store = mk_store () in
   let o1 = Osd.create_object osd in
+  let o2 = Osd.create_object osd in
   Index_store.add store o1 Tag.User "margo";
+  Index_store.add store o1 (Tag.Custom "camera") "nikon";
+  Index_store.add store o2 Tag.Udef "beach";
   put_text osd store o1 "durable content";
   Osd.flush_exn osd;
   let osd2 = Osd.open_existing_exn ~config:(Osd.Config.v ~cache_pages:256 ()) dev in
@@ -379,7 +432,24 @@ let test_store_survives_reopen () =
     (Index_store.lookup store2 (Tag.User, "margo"));
   check (Alcotest.list oid_t) "fulltext survives" [ o1 ]
     (Index_store.lookup store2 (Tag.Fulltext, "durable"));
-  Index_store.verify store2
+  Index_store.verify store2;
+  (* The registry is read from the tree: a namespace nobody has named
+     since the reopen is still listed, dropped and verified. *)
+  check
+    (Alcotest.list (Alcotest.pair tag_t Alcotest.string))
+    "custom name listed"
+    [ (Tag.Custom "CAMERA", "nikon"); (Tag.User, "margo") ]
+    (Index_store.values_of store2 o1);
+  Index_store.drop_object store2 o1;
+  check (Alcotest.list oid_t) "custom name dropped" []
+    (Index_store.lookup store2 (Tag.Custom "camera", "nikon"));
+  Index_store.verify store2;
+  let attrs = Osd.named_tree osd2 "attrs" in
+  check Alcotest.bool "reverse key removed" true
+    (Btree.remove attrs ("UDEF\002" ^ Oid.to_key o2 ^ "beach"));
+  match Index_store.verify store2 with
+  | () -> Alcotest.fail "verify missed a forward key without its reverse"
+  | exception Failure _ -> ()
 
 let test_store_contains_probe () =
   let _, osd, store = mk_store () in
@@ -483,4 +553,5 @@ let suite =
     Alcotest.test_case "kv capped count" `Quick test_kv_count_capped;
     Alcotest.test_case "probing conjunction agrees" `Quick
       test_probing_conjunction_agrees_with_scan;
+    Alcotest.test_case "kv namespace scan" `Quick test_kv_namespace_scan;
   ]

@@ -10,7 +10,6 @@ module Refine = Hfad.Refine
 module Tag = Hfad_index.Tag
 module Query = Hfad_index.Query
 module Image_index = Hfad_index.Image_index
-module Index_store = Hfad_index.Index_store
 module Osd = Hfad_osd.Osd
 module Oid = Hfad_osd.Oid
 module P = Hfad_posix.Posix_fs
@@ -47,9 +46,10 @@ let test_full_lifecycle () =
       ~names:[ (Tag.User, "margo"); (Tag.Udef, "scratch") ]
       ~content:"unnamed scratch buffer about the albatross"
   in
-  (* 4. Image plug-in. *)
+  (* 4. Image plug-in: the pixels' hash is one more name. *)
   let pixels = String.init 2048 (fun i -> Char.chr (i * 13 mod 251)) in
-  Image_index.add (Index_store.image (Fs.index fs)) paper pixels;
+  let hash = Image_index.hash_to_value (Image_index.hash_of_bytes pixels) in
+  Fs.name_exn fs paper (Tag.Custom "IMAGE") hash;
 
   (* Lazy index: content not yet searchable; drain and verify. *)
   check (Alcotest.list oid_t) "stale before drain" []
@@ -97,9 +97,7 @@ let test_full_lifecycle () =
       check (Alcotest.list oid_t) "fulltext survives" [ paper; pathless ]
         (List.sort Oid.compare (List.map fst (Fs.search fs2 "albatross")));
       check (Alcotest.list oid_t) "image index survives" [ paper ]
-        (Image_index.lookup_exact
-           (Index_store.image (Fs.index fs2))
-           (Image_index.hash_of_bytes pixels));
+        (Fs.lookup fs2 [ (Tag.Custom "IMAGE", hash) ]);
       check
         (Alcotest.list Alcotest.string)
         "namespace survives"

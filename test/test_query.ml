@@ -93,7 +93,7 @@ let test_empty_results () =
 
 let test_estimate_bounds () =
   let fs, _, _, _, _, _ = mk () in
-  let store = Fs.index fs in
+  let store = Fs.index_of_shard fs 0 in
   check Alcotest.int "pair" 3 (Query.estimate store (user "margo"));
   check Alcotest.bool "and bounded by min" true
     (Query.estimate store Query.(user "margo" &&& udef "y2009") <= 2);
@@ -103,7 +103,7 @@ let test_estimate_bounds () =
 let test_explain_mentions_plan () =
   let fs, _, _, _, _, _ = mk () in
   let text =
-    Query.explain (Fs.index fs)
+    Query.explain (Fs.index_of_shard fs 0)
       (Query.And [ user "margo"; udef "y2009"; Query.not_ (udef "boston") ])
   in
   check Alcotest.bool "has intersect" true

@@ -801,6 +801,26 @@ let test_slow_log_capture () =
                  && contains ~sub:"\"dur_us\":" l)
                s.slow)))
 
+(* A tag the index refuses answers ERR and leaves no lock behind: TAG
+   and GET on both connections (one per worker) still get their answer.
+   The whole exchange is bounded, so a wedge fails instead of hanging. *)
+let test_refused_tag_does_not_wedge () =
+  Watchdog.within ~seconds:10.0 "TAG/GET after a refused TAG" @@ fun () ->
+  with_server (fun _fs server ->
+      with_client server (fun c1 ->
+          with_client server (fun c2 ->
+              ignore (ok (Client.put c1 ~key:"k" "value"));
+              (match Client.tag c1 ~key:"k" ~tag:"a\001b" ~value:"x" with
+              | Error (Client.Remote _) -> ()
+              | Ok () -> Alcotest.fail "a tag with a reserved byte was accepted"
+              | Error e -> Alcotest.failf "expected ERR, got %a" Client.pp_error e);
+              ok (Client.tag c1 ~key:"k" ~tag:"USER" ~value:"margo");
+              ok (Client.tag c2 ~key:"k" ~tag:"UDEF" ~value:"beach");
+              check Alcotest.string "GET on the first connection" "value"
+                (ok (Client.get c1 ~key:"k"));
+              check Alcotest.string "GET on the second connection" "value"
+                (ok (Client.get c2 ~key:"k")))))
+
 let test_prefix_pool_audit () =
   let live = Prefix_pool.live "server" in
   let size = Registry.size Registry.global in
@@ -843,4 +863,6 @@ let suite =
       test_slow_log_capture;
     Alcotest.test_case "metrics prefix pool audit" `Quick
       test_prefix_pool_audit;
+    Alcotest.test_case "refused TAG does not wedge the server" `Quick
+      test_refused_tag_does_not_wedge;
   ]

@@ -8,6 +8,7 @@ module Load = Hfad_workload.Load
 module Fs = Hfad.Fs
 module P = Hfad_posix.Posix_fs
 module Tag = Hfad_index.Tag
+module Image_index = Hfad_index.Image_index
 module H = Hfad_hierfs.Hierfs
 module Search = Hfad_hierfs.Desktop_search
 
@@ -182,6 +183,31 @@ let test_trace_replays_equivalently () =
   check Alcotest.int "same bytes read" f.Trace.bytes_read g.Trace.bytes_read;
   check Alcotest.bool "queries returned results" true (f.Trace.search_hits > 0)
 
+(* Every name goes through Fs, so each photo's IMAGE name lives on its
+   own object's shard: found by exact and by near hash, and gone with
+   the photo. *)
+let test_photos_by_hash shards () =
+  let dev = Device.create ~block_size:4096 ~blocks:16384 () in
+  let fs = Fs.format ~config:(Fs.Config.v ~shards ~journal_pages:64 ()) dev in
+  let p = P.mount fs in
+  let photos = Corpus.photos (Rng.create 9L) ~count:40 in
+  let oids = Load.photos_into_hfad p photos in
+  let image = Tag.Custom "IMAGE" in
+  let names = Fs.list_names fs image ~prefix:"" in
+  List.iter2
+    (fun (photo : Corpus.photo) oid ->
+      let h = Image_index.hash_of_bytes photo.Corpus.pixels in
+      check Alcotest.bool "exact hash" true
+        (List.mem oid (Fs.lookup fs [ (image, Image_index.hash_to_value h) ]));
+      check Alcotest.bool "near hash, distance 0" true
+        (List.mem (oid, 0) (Image_index.near h ~max_distance:0 names)))
+    photos oids;
+  List.iter (fun (photo : Corpus.photo) -> P.unlink_exn p photo.Corpus.photo_path) photos;
+  check Alcotest.int "no IMAGE name left" 0
+    (List.length (Fs.list_names fs image ~prefix:""));
+  Fs.verify fs;
+  Fs.close fs
+
 let suite =
   [
     Alcotest.test_case "photos deterministic" `Quick test_photos_deterministic;
@@ -195,4 +221,8 @@ let suite =
     Alcotest.test_case "load source" `Quick test_load_source_both;
     Alcotest.test_case "trace generation" `Quick test_trace_deterministic_and_mixed;
     Alcotest.test_case "trace replay parity" `Quick test_trace_replays_equivalently;
+    Alcotest.test_case "photos found by image hash, 1 shard" `Quick
+      (test_photos_by_hash 1);
+    Alcotest.test_case "photos found by image hash, 4 shards" `Quick
+      (test_photos_by_hash 4);
   ]
