@@ -54,12 +54,8 @@ let key_of k = Printf.sprintf "s1key%02d" k
 
 (* Journaled (group commit is the thing under test) with a cache that
    holds the whole working set: the device traffic left for the model
-   to price is journal commits, i.e. exactly what batching amortizes.
-   [batch_max_age] only sets the flusher's poll quantum here (barriers
-   force every commit); the smallest quantum keeps untimed condvar-poll
-   sleeps from drowning the modeled signal in scheduler wall time. *)
-let fs_config =
-  Fs.Config.v ~cache_pages:2048 ~journal_pages:256 ~batch_max_age:0.004 ()
+   to price is journal commits, i.e. exactly what batching amortizes. *)
+let fs_config = Fs.Config.v ~cache_pages:2048 ~journal_pages:256 ()
 
 (* The front door's durability unit is the journal commit, and a commit
    on real hardware pays a FLUSH/fsync — hundreds of microseconds on a

@@ -295,13 +295,14 @@ let boolean_query image text expl =
   handle_errors (fun () ->
       with_image image (fun fs _posix ->
           let q = Hfad_index.Query.of_string text in
-          (* Each shard plans on its own index; an unsharded image has
+          (* One plan per shard the query visits; an unsharded image has
              one plan and no heading. *)
           if expl then
-            for i = 0 to Fs.shard_count fs - 1 do
-              if Fs.shard_count fs > 1 then say "shard %d:" i;
-              print_string (Hfad_index.Query.explain (Fs.index_of_shard fs i) q)
-            done;
+            List.iter
+              (fun (i, plan) ->
+                if Fs.shard_count fs > 1 then say "shard %d:" i;
+                print_string plan)
+              (Fs.explain fs q);
           let hits = Fs.query fs q in
           say "%d object(s)" (List.length hits);
           List.iter (fun oid -> say "  %s" (Oid.to_string oid)) hits))

@@ -27,21 +27,25 @@ done
 # It writes nothing under perfbench/.
 python3 perfbench/run.py --self-test
 
-# Benchmark output gate: one short run of each workload (about 8 s
-# each) must check every output it produced and fail no operation. The
-# result line is the last line of standard output; its "correct" must
-# be true and its "failed" 0.
+# Benchmark output gate: one short run of each workload, untraced and
+# traced (about 5 to 8 s each), must check every output it produced and
+# fail no operation. The result line is the last line of standard
+# output; its "correct" must be true and its "failed" 0.
 for w in naming wire-write
 do
-  python3 perfbench/run.py --workload "$w" --seed 1 --seconds 2 --trace 0 |
-    tail -n 1 |
-    python3 -c '
+  for trace in 0 1
+  do
+    python3 perfbench/run.py --workload "$w" --seed 1 --seconds 2 \
+        --trace "$trace" |
+      tail -n 1 |
+      python3 -c '
 import json, sys
 r = json.loads(sys.stdin.read())
 if r["correct"] is not True or r["failed"] != 0:
-    sys.exit("check.sh: %s reported correct=%s failed=%s"
-             % (sys.argv[1], r["correct"], r["failed"]))
-' "$w"
+    sys.exit("check.sh: %s --trace %s reported correct=%s failed=%s"
+             % (sys.argv[1], sys.argv[2], r["correct"], r["failed"]))
+' "$w" "$trace"
+  done
 done
 
 # Bench bit-rot gate: every experiment once at tiny N; numbers printed

@@ -3,6 +3,7 @@ module Histogram = Hfad_metrics.Histogram
 module Counter = Hfad_metrics.Counter
 module Registry = Hfad_metrics.Registry
 module Trace = Hfad_trace.Trace
+module Wakeup = Hfad_util.Wakeup
 
 (* One set of pipeline metrics per process (same convention as the OSD's
    op counters): several Fs instances share the histograms, and bench
@@ -21,16 +22,15 @@ let g_queue_age =
 
 type t = {
   mutex : Mutex.t;
-  work : Condition.t;  (* daemon wake: new work, barrier urgency, stop *)
   done_ : Condition.t; (* barrier wake: a commit finished (or daemon died) *)
   dirty_count : unit -> int;
   commit : unit -> (unit, Osd.error) result;
   batch_max_pages : int;
   batch_max_age : float;
-  quantum : float;  (* age-trigger poll period (no timed condvar wait) *)
+  mutable wakeup : Wakeup.t option;  (* the daemon's wake, while it runs *)
   mutable worker : Thread.t option;
   mutable stop_req : bool;
-  mutable urgent : bool;  (* a barrier wants the next commit now *)
+  mutable urgent : bool;  (* commit now: a barrier waits, or the size trigger *)
   mutable acked : int;    (* mutations acknowledged (sequence numbers) *)
   mutable durable : int;  (* highest acked mutation made durable *)
   mutable commits : int;
@@ -45,13 +45,12 @@ let create ?(batch_max_pages = 256) ?(batch_max_age = 0.010) ~dirty_count
   if batch_max_age < 0.0 then invalid_arg "Flusher.create: batch_max_age";
   {
     mutex = Mutex.create ();
-    work = Condition.create ();
     done_ = Condition.create ();
     dirty_count;
     commit;
     batch_max_pages;
     batch_max_age;
-    quantum = Float.max 0.001 (Float.min 0.01 (batch_max_age /. 4.));
+    wakeup = None;
     worker = None;
     stop_req = false;
     urgent = false;
@@ -65,19 +64,22 @@ let create ?(batch_max_pages = 256) ?(batch_max_age = 0.010) ~dirty_count
 
 let running t = t.worker <> None
 
+(* Caller holds [t.mutex] and has just changed what the daemon waits for. *)
+let wake t = Option.iter Wakeup.signal t.wakeup
+
+(* A batch's first mutation starts its age clock, so the daemon must
+   learn its deadline. The size trigger wakes it once, when it trips:
+   until the commit starts, [urgent] stays set and a wake is pending. *)
 let note_mutation t =
+  let full = t.dirty_count () >= t.batch_max_pages in
   Mutex.lock t.mutex;
   t.acked <- t.acked + 1;
-  if t.first_pending = 0.0 then t.first_pending <- Unix.gettimeofday ();
-  Condition.signal t.work;
+  let first = t.first_pending = 0.0 in
+  if first then t.first_pending <- Unix.gettimeofday ();
+  let trips = full && not t.urgent in
+  if trips then t.urgent <- true;
+  if first || trips then wake t;
   Mutex.unlock t.mutex
-
-(* Caller holds [t.mutex] and there is pending work. *)
-let should_commit t =
-  t.stop_req || t.urgent
-  || t.dirty_count () >= t.batch_max_pages
-  || (t.first_pending > 0.0
-     && Unix.gettimeofday () -. t.first_pending >= t.batch_max_age)
 
 (* The commit itself runs without the flusher mutex: it takes the stack's
    rwlock exclusively, and mutators under that rwlock call
@@ -125,60 +127,69 @@ let run_commit t =
   Condition.broadcast t.done_;
   result
 
-let worker_loop t =
+(* The daemon holds [t.mutex] except while it sleeps or commits. It
+   sleeps until woken, or with work pending, until the oldest pending
+   mutation comes of age. *)
+let worker_loop t wakeup =
   let rec run () =
-    Mutex.lock t.mutex;
-    while t.acked = t.durable && not t.stop_req do
-      Condition.wait t.work t.mutex
-    done;
-    if t.acked = t.durable then begin
+    let pending = t.acked > t.durable in
+    if (not pending) && t.stop_req then begin
       (* stop requested, nothing pending: clean exit *)
       t.exited <- true;
       Condition.broadcast t.done_;
       Mutex.unlock t.mutex
     end
-    else begin
-      (* Pending work: wait for a trigger. The stdlib condvar has no
-         timed wait, so the age trigger is a short poll; the quantum is a
-         fraction of [batch_max_age], bounding trigger latency without
-         busy-waiting. *)
-      while not (should_commit t) do
+    else
+      let age_left =
+        t.first_pending +. t.batch_max_age -. Unix.gettimeofday ()
+      in
+      if pending && (t.stop_req || t.urgent || age_left <= 0.0) then
+        match run_commit t with
+        | Ok () -> run ()
+        | Error _ ->
+            (* Sticky failure: exit rather than retry against a sick
+               device; barriers see [t.failed]. *)
+            t.exited <- true;
+            Mutex.unlock t.mutex
+      else begin
         Mutex.unlock t.mutex;
-        Thread.delay t.quantum;
-        Mutex.lock t.mutex
-      done;
-      match run_commit t with
-      | Ok () ->
-          Mutex.unlock t.mutex;
-          run ()
-      | Error _ ->
-          (* Sticky failure: exit rather than retry against a sick
-             device; barriers see [t.failed]. *)
-          t.exited <- true;
-          Mutex.unlock t.mutex
-    end
+        Wakeup.wait wakeup
+          ~timeout:(if pending then Some age_left else None);
+        Mutex.lock t.mutex;
+        run ()
+      end
   in
+  Mutex.lock t.mutex;
   run ()
 
 let start t =
   match t.worker with
   | Some _ -> ()
   | None ->
+      let wakeup = Wakeup.create () in
+      Mutex.lock t.mutex;
+      t.wakeup <- Some wakeup;
       t.stop_req <- false;
       t.urgent <- false;
       t.failed <- None;
       t.exited <- false;
-      t.worker <- Some (Thread.create worker_loop t)
+      Mutex.unlock t.mutex;
+      t.worker <- Some (Thread.create (worker_loop t) wakeup)
 
+(* The pipe closes only after the join, and under the mutex, so no wake
+   can reach a closed (or reused) descriptor. *)
 let stop t =
   match t.worker with
   | None -> ()
   | Some thread ->
       Mutex.lock t.mutex;
       t.stop_req <- true;
-      Condition.broadcast t.work;
+      wake t;
       Mutex.unlock t.mutex;
       Thread.join thread;
+      Mutex.protect t.mutex (fun () ->
+          Option.iter Wakeup.close t.wakeup;
+          t.wakeup <- None);
       t.worker <- None;
       t.stop_req <- false
 
@@ -191,7 +202,7 @@ let barrier t =
       match t.failed with Some e -> Error e | None -> Error Osd.Stopped
     else begin
       t.urgent <- true;
-      Condition.signal t.work;
+      wake t;
       while t.durable < target && t.failed = None && not t.exited do
         Condition.wait t.done_ t.mutex
       done;

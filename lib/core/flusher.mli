@@ -13,11 +13,13 @@
     {- Every acknowledged mutation calls {!note_mutation} (from inside
        the stack's exclusive section), which assigns it the next
        sequence number.}
-    {- The daemon thread sleeps until work exists, then waits for a
-       trigger — batch size (dirty pages ≥ [batch_max_pages]), batch age
-       (oldest unflushed mutation ≥ [batch_max_age] seconds), an
-       explicit {!barrier}, or {!stop} — and runs the commit closure
-       {e once} for everything acknowledged so far.}
+    {- The daemon thread sleeps until a barrier, the size trigger
+       (dirty pages ≥ [batch_max_pages] after a mutation), the age
+       deadline (oldest unflushed mutation [batch_max_age] seconds old)
+       or {!stop}, and then runs the commit closure {e once} for
+       everything acknowledged so far. There is no poll: each of these
+       wakes the daemon at once, and with nothing pending it sleeps
+       until woken.}
     {- {!barrier} blocks until every mutation acknowledged before the
        call is durable — the pipeline's fsync.}}
 
@@ -45,20 +47,21 @@ val create :
   unit ->
   t
 (** [create ~dirty_count ~commit ()] builds a pipeline (not yet
-    running). [dirty_count] is polled (cheaply — it must be O(1)) to
-    decide the size trigger; [commit] must make every currently
-    acknowledged mutation durable and is never invoked concurrently with
-    itself. [batch_max_pages] (default 256) and [batch_max_age] (default
-    10 ms) are the flush triggers; either alone suffices. *)
+    running). [dirty_count] is read at every {!note_mutation} (so it
+    must be O(1)) to decide the size trigger; [commit] must make every
+    currently acknowledged mutation durable and is never invoked
+    concurrently with itself. [batch_max_pages] (default 256) and
+    [batch_max_age] (default 10 ms) are the flush triggers; either alone
+    suffices. *)
 
 val start : t -> unit
-(** Spawn the daemon thread. No-op if already running. Clears any sticky
-    failure from a previous run. *)
+(** Spawn the daemon thread, and the pipe it sleeps on. No-op if
+    already running. Clears any sticky failure from a previous run. *)
 
 val stop : t -> unit
 (** Drain: trigger a final commit of everything acknowledged, wait for
-    it, and join the daemon thread. No-op if not running. A sticky
-    failure survives [stop] (read it with {!barrier}). *)
+    it, join the daemon thread and close its pipe. No-op if not running.
+    A sticky failure survives [stop] (read it with {!barrier}). *)
 
 val running : t -> bool
 

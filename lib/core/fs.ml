@@ -1072,28 +1072,44 @@ let rec id_target t q =
   | Query.And l -> List.find_map (id_target t) l
   | Query.Pair _ | Query.Or _ | Query.Not _ -> None
 
+(* The shards a query visits, each with the query rewritten for it: the
+   owner of a positive Id conjunct alone, or else every shard. *)
+let query_shards t q =
+  if not (sharded t) then [ (0, q) ]
+  else
+    let on s = (s, rewrite_query t s q) in
+    match id_target t q with
+    | Some s -> [ on s ]
+    | None -> List.init (nshards t) on
+
 let query t q =
   traced "query" @@ fun () ->
   if not (sharded t) then
     let sh = shard0 t in
     shard_shared sh (fun () -> Query.eval sh.s_index q)
   else begin
-    let eval_on s =
+    let eval_on (s, q) =
       let sh = t.shards.(s) in
       bump_ops sh;
       shard_shared sh (fun () ->
-          List.map
-            (Router.to_global t.router ~shard:s)
-            (Query.eval sh.s_index (rewrite_query t s q)))
+          List.map (Router.to_global t.router ~shard:s) (Query.eval sh.s_index q))
     in
-    match id_target t q with
-    | Some s ->
+    (* A sharded Fs has at least two shards, so one visit is a target. *)
+    match query_shards t q with
+    | [ one ] ->
         note_targeted t;
-        eval_on s
-    | None ->
+        eval_on one
+    | all ->
         note_scatter t;
-        Router.merge_sorted ~cmp:Oid.compare (List.init (nshards t) eval_on)
+        Router.merge_sorted ~cmp:Oid.compare (List.map eval_on all)
   end
+
+let explain t q =
+  List.map
+    (fun (s, q) ->
+      let sh = t.shards.(s) in
+      (s, shard_shared sh (fun () -> Query.explain sh.s_index q)))
+    (query_shards t q)
 
 let query_string t s = query t (Query.of_string s)
 

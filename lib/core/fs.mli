@@ -174,7 +174,9 @@ module Config : sig
             dirty (default 256) *)
     batch_max_age : float;
         (** pipeline age trigger, seconds: an acknowledged mutation
-            waits at most this long for its commit (default 0.010) *)
+            waits at most this long for its commit (default 0.010). It
+            is a deadline, not a poll period: the daemon sleeps until
+            it, or until a barrier or the size trigger wakes it. *)
     sync_writes : bool;
         (** checkpoint after every mutation — per-op durability instead
             of group commit (default [false]) *)
@@ -402,6 +404,12 @@ val query : t -> Hfad_index.Query.t -> Hfad_osd.Oid.t list
 (** Arbitrary boolean naming query (§4's extension): and/or/not over
     tag/value pairs, planned by selectivity.
     @raise Hfad_index.Query.Unbounded_not for un-guarded negations. *)
+
+val explain : t -> Hfad_index.Query.t -> (int * string) list
+(** The plans {!query} runs, one per shard it visits, in shard order:
+    each shard's {!Hfad_index.Query.explain} of the query as rewritten
+    for that shard. A query with a positive [ID] conjunct visits only
+    the owning shard, with the shard-local id. *)
 
 val query_string : t -> string -> Hfad_osd.Oid.t list
 (** {!query} on the concrete syntax, e.g.

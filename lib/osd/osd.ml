@@ -677,7 +677,10 @@ let read t oid ~off ~len =
     Bytes.unsafe_to_string buf
   end
 
-let read_all t oid = read t oid ~off:0 ~len:(size t oid)
+(* One shared section: the length comes from the same metadata read as
+   the bytes, so an overwrite that resizes the object between a size
+   lookup and the read cannot return its bytes cut to the old length. *)
+let read_all t oid = read t oid ~off:0 ~len:max_int
 
 let write t oid ~off data =
   check_off off;

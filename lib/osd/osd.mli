@@ -269,6 +269,8 @@ val read : t -> Oid.t -> off:int -> len:int -> string
     where access-time tracking matters. *)
 
 val read_all : t -> Oid.t -> string
+(** The whole object as of one instant: its size and its bytes are read
+    in one shared section, so no mutation lands between them. *)
 
 val write : t -> Oid.t -> off:int -> string -> unit
 (** Overwrite-in-place/extend, POSIX-compatible (§3.1.2: "The read and

@@ -21,6 +21,7 @@ module Prefix_pool = Hfad_metrics.Prefix_pool
 module Histogram = Hfad_metrics.Histogram
 module Prometheus = Hfad_metrics.Prometheus
 module Osd = Hfad_osd.Osd
+module Wakeup = Hfad_util.Wakeup
 module Pager = Hfad_pager.Pager
 
 module Config = struct
@@ -113,8 +114,7 @@ type conn = {
 
 type worker = {
   widx : int;
-  wake_r : Unix.file_descr;
-  wake_w : Unix.file_descr;
+  wakeup : Wakeup.t;
   mu : Mutex.t;
   incoming : Unix.file_descr Queue.t;  (* under [mu] *)
   mutable conns : conn list;
@@ -139,22 +139,6 @@ type t = {
 }
 
 (* --- small plumbing ----------------------------------------------- *)
-
-let wake w =
-  (* A full pipe already guarantees a wakeup is pending. *)
-  try ignore (Unix.write w.wake_w (Bytes.make 1 '!') 0 1) with
-  | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-  | Unix.Unix_error (Unix.EPIPE, _, _) -> ()
-
-let drain_wake w =
-  let buf = Bytes.create 64 in
-  let rec go () =
-    match Unix.read w.wake_r buf 0 64 with
-    | 64 -> go ()
-    | _ -> ()
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-  in
-  go ()
 
 let close_conn t c =
   if c.alive then begin
@@ -576,7 +560,7 @@ let worker_loop t w =
     let live = List.filter (fun c -> c.alive) w.conns in
     w.conns <- live;
     let read_fds =
-      w.wake_r
+      Wakeup.fd w.wakeup
       :: List.filter_map
            (fun c -> if c.draining then None else Some c.fd)
            live
@@ -598,8 +582,8 @@ let worker_loop t w =
             | exception Unix.Unix_error _ -> close_conn t c)
           live
     | readable, writable, _ ->
-        if List.memq w.wake_r readable then begin
-          drain_wake w;
+        if List.memq (Wakeup.fd w.wakeup) readable then begin
+          Wakeup.drain w.wakeup;
           adopt w
         end;
         if not (Atomic.get t.shutdown) then begin
@@ -645,7 +629,7 @@ let accept_loop t =
             Mutex.lock w.mu;
             Queue.add fd w.incoming;
             Mutex.unlock w.mu;
-            wake w
+            Wakeup.signal w.wakeup
         | exception
             Unix.Unix_error
               ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.ECONNABORTED | Unix.EINTR), _, _)
@@ -695,13 +679,9 @@ let start ?(config = Config.default) ?(port = 0) fs =
       let prefix = Prefix_pool.acquire "server" in
       let workers =
         Array.init config.Config.workers (fun widx ->
-            let wake_r, wake_w = Unix.pipe () in
-            Unix.set_nonblock wake_r;
-            Unix.set_nonblock wake_w;
             {
               widx;
-              wake_r;
-              wake_w;
+              wakeup = Wakeup.create ();
               mu = Mutex.create ();
               incoming = Queue.create ();
               conns = [];
@@ -749,15 +729,14 @@ let stop t =
   if first then begin
     Atomic.set t.shutdown true;
     (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-    Array.iter wake t.workers;
+    Array.iter (fun w -> Wakeup.signal w.wakeup) t.workers;
     Option.iter Domain.join t.accept_domain;
     t.accept_domain <- None;
     Array.iter
       (fun w ->
         Option.iter Domain.join w.domain;
         w.domain <- None;
-        (try Unix.close w.wake_r with Unix.Unix_error _ -> ());
-        try Unix.close w.wake_w with Unix.Unix_error _ -> ())
+        Wakeup.close w.wakeup)
       t.workers;
     Prefix_pool.release t.prefix
   end

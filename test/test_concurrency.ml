@@ -171,6 +171,50 @@ let test_refused_tag_does_not_wedge () =
          Fs.lookup fs [ (Tag.User, "margo") ]));
   Fs.verify fs
 
+(* An overwrite that changes the length races [Fs.read_all]. Each
+   overwrite is one plan (truncate, then write) under one exclusive
+   section, so every read must return one whole value; a read that took
+   the size and the bytes in two sections returned the long value cut
+   to the short length. *)
+let test_read_all_never_torn () =
+  let dev = Device.create ~block_size:1024 ~blocks:16384 () in
+  let fs =
+    Fs.format ~config:(Fs.Config.v ~cache_pages:1024 ~index_mode:Fs.Off ()) dev
+  in
+  let values = [| String.make 100 's'; String.make 300 'l' |] in
+  let oid = Fs.create_exn fs ~content:values.(0) in
+  let stop = Atomic.make false in
+  let writer =
+    Domain.spawn (fun () ->
+        let n = ref 0 in
+        while not (Atomic.get stop) do
+          incr n;
+          Fs.with_txn_exn fs (fun tx ->
+              Fs.Txn.truncate tx oid 0;
+              Fs.Txn.write tx oid ~off:0 values.(!n land 1));
+          if !n mod 64 = 0 then Fs.sync_exn ~mode:`Checkpoint fs
+        done;
+        !n)
+  in
+  let reads, torn =
+    Fun.protect
+      ~finally:(fun () -> Atomic.set stop true)
+      (fun () ->
+        Watchdog.within ~seconds:30.0 "reads racing overwrites" (fun () ->
+            let deadline = Unix.gettimeofday () +. 2.0 in
+            let reads = ref 0 and torn = ref 0 in
+            while Unix.gettimeofday () < deadline do
+              incr reads;
+              if not (Array.mem (Fs.read_all fs oid) values) then incr torn
+            done;
+            (!reads, !torn)))
+  in
+  let writes = Domain.join writer in
+  check Alcotest.bool "both sides ran" true (reads > 1 && writes > 1);
+  check Alcotest.int
+    (Printf.sprintf "torn reads among %d (%d overwrites)" reads writes)
+    0 torn
+
 let suite =
   [
     Alcotest.test_case "readers vs writer stress" `Slow test_readers_vs_writer;
@@ -180,4 +224,6 @@ let suite =
       test_concurrent_writers_serialize;
     Alcotest.test_case "refused tag does not wedge the shard" `Quick
       test_refused_tag_does_not_wedge;
+    Alcotest.test_case "read_all never returns a torn value" `Slow
+      test_read_all_never_torn;
   ]

@@ -110,6 +110,31 @@ let test_size_trigger () =
 
 (* --- barrier semantics ------------------------------------------------------ *)
 
+(* A barrier starts its commit at once, whatever the age trigger: with
+   only the 3600 s deadline pending, each round is one create, a short
+   pause and the group commit, well under 1 ms in memory. As on a server
+   worker, the rounds run on another domain than the daemon's, and the
+   pause lets the daemon see the pending create before the barrier
+   comes. A daemon that then slept out a poll before noticing the
+   barrier took about 10 ms a round. *)
+let test_barrier_commits_at_once () =
+  let _dev, fs = mk_manual () in
+  let rounds = 200 in
+  let ms =
+    Watchdog.within ~seconds:30.0 "barriered creates" (fun () ->
+        let t0 = Unix.gettimeofday () in
+        for i = 1 to rounds do
+          ignore (Fs.create_exn fs ~content:(Printf.sprintf "round %d" i));
+          Unix.sleepf 0.00005;
+          Fs.sync_exn fs
+        done;
+        1000. *. (Unix.gettimeofday () -. t0))
+  in
+  Fs.stop_pipeline fs;
+  check Alcotest.bool
+    (Printf.sprintf "%d barriered creates in %.0f ms (< 200)" rounds ms)
+    true (ms < 200.)
+
 let test_barrier_is_fsync () =
   let dev, fs = mk_manual () in
   let oid =
@@ -183,6 +208,22 @@ let test_barrier_without_pipeline () =
   | Error e -> Alcotest.failf "barrier failed: %s" (Fs.error_message e));
   let fs2 = Fs.open_existing_exn (snapshot dev) in
   check Alcotest.string "durable" "synchronous barrier" (Fs.read_all fs2 oid)
+
+(* The daemon sleeps on a pipe made at start and closed at stop, so
+   start/stop cycles must not leak descriptors. *)
+let test_start_stop_closes_descriptors () =
+  let open_fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  let fl =
+    Flusher.create ~dirty_count:(fun () -> 0) ~commit:(fun () -> Ok ()) ()
+  in
+  let before = open_fds () in
+  for _ = 1 to 2000 do
+    Flusher.start fl;
+    Flusher.note_mutation fl;
+    Flusher.stop fl
+  done;
+  check Alcotest.int "every stop drained" 2000 (Flusher.stats fl).Flusher.durable;
+  check Alcotest.int "open descriptors" before (open_fds ())
 
 let test_failed_commit_is_sticky () =
   let dev, fs = mk_manual () in
@@ -381,6 +422,10 @@ let suite =
     Alcotest.test_case "empty barrier commits nothing" `Quick
       test_empty_barrier_is_free;
     Alcotest.test_case "stop drains the batch" `Quick test_stop_drains;
+    Alcotest.test_case "barrier commits at once" `Quick
+      test_barrier_commits_at_once;
+    Alcotest.test_case "start/stop closes its descriptors" `Quick
+      test_start_stop_closes_descriptors;
     Alcotest.test_case "sync_writes checkpoints per op" `Quick
       test_sync_writes_mode;
     Alcotest.test_case "barrier without pipeline" `Quick

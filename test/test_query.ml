@@ -122,6 +122,49 @@ let test_explain_mentions_plan () =
   check Alcotest.bool "difference last" true
     (pos text "difference" > pos text "USER/margo")
 
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
+(* [Fs.explain] gives the plans [Fs.query] runs. On 4 shards an [ID]
+   conjunct bounds the query to its owner, planned with the local id;
+   without one, every shard plans the query as written. *)
+let test_explain_sharded () =
+  let dev = Device.create ~block_size:1024 ~blocks:16384 () in
+  let fs =
+    Fs.format
+      ~config:(Fs.Config.v ~cache_pages:256 ~index_mode:Fs.Off ~shards:4 ())
+      dev
+  in
+  let oids =
+    List.init 12 (fun _ -> Fs.create_exn fs ~names:[ (Tag.User, "margo") ])
+  in
+  let router = Hfad_shard.Router.create ~shards:4 in
+  let g = List.nth oids 8 in
+  let q = Query.And [ p Tag.Id (Oid.to_string g); user "margo" ] in
+  let local = Oid.to_string (Hfad_shard.Router.to_local router g) in
+  (match Fs.explain fs q with
+  | [ (s, plan) ] ->
+      check Alcotest.int "the owner shard" (Hfad_shard.Router.shard_of_oid router g) s;
+      check Alcotest.bool "local id scanned" true
+        (contains plan ("scan ID/" ^ local ^ " "));
+      check Alcotest.bool "global id absent" false
+        (contains plan ("ID/" ^ Oid.to_string g ^ " "))
+  | plans -> Alcotest.failf "%d plans for an ID query" (List.length plans));
+  check (Alcotest.list oid_t) "the query finds it" [ g ] (Fs.query fs q);
+  check (Alcotest.list Alcotest.int) "one plan per shard" [ 0; 1; 2; 3 ]
+    (List.map fst (Fs.explain fs (user "margo")))
+
+let test_explain_unsharded () =
+  let fs, _, _, _, _, _ = mk () in
+  let q = Query.And [ user "margo"; udef "y2009" ] in
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.string))
+    "shard 0's plan of the query as written"
+    [ (0, Query.explain (Fs.index_of_shard fs 0) q) ]
+    (Fs.explain fs q)
+
 (* --- parser -------------------------------------------------------------- *)
 
 let qt = Alcotest.testable Query.pp Query.equal
@@ -269,6 +312,9 @@ let suite =
     Alcotest.test_case "empty results" `Quick test_empty_results;
     Alcotest.test_case "estimates" `Quick test_estimate_bounds;
     Alcotest.test_case "explain plan" `Quick test_explain_mentions_plan;
+    Alcotest.test_case "explain plans the shards a query visits" `Quick
+      test_explain_sharded;
+    Alcotest.test_case "explain unsharded" `Quick test_explain_unsharded;
     Alcotest.test_case "parse atoms" `Quick test_parse_atoms;
     Alcotest.test_case "parse operators" `Quick test_parse_operators;
     Alcotest.test_case "parse errors" `Quick test_parse_errors;

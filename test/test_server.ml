@@ -440,17 +440,11 @@ let test_multi_roundtrip () =
           | Error Client.Not_found -> ()
           | _ -> Alcotest.fail "aborted Tput must be invisible"))
 
-(* One connection alternates two equal-length values on one key while a
-   second one, dealt to the other worker domain, GETs it. A PUT
-   overwrite is a truncate plus a write; unless both run under one
-   exclusive section, a GET between them reads the empty value no PUT
-   wrote. *)
-let test_no_torn_gets () =
+(* One connection alternates two values on one key while a second one,
+   dealt to the other worker domain, GETs it; every GET must return a
+   value some PUT sent. *)
+let torn_gets values =
   with_server ~config:(Server.Config.v ~workers:2 ()) (fun _fs server ->
-      let value word =
-        String.concat " " (List.init 32 (Printf.sprintf "%s%02d" word))
-      in
-      let values = [| value "alpha"; value "omega" |] in
       (* Connections are dealt round-robin: writer to worker 0, reader
          to worker 1. *)
       with_client server (fun writer ->
@@ -485,6 +479,20 @@ let test_no_torn_gets () =
               check Alcotest.int
                 (Printf.sprintf "torn GETs among %d (%d PUTs)" !gets !puts)
                 0 !torn)))
+
+(* Equal lengths: a PUT overwrite is a truncate plus a write; unless
+   both run under one exclusive section, a GET between them reads the
+   empty value no PUT wrote. *)
+let test_no_torn_gets () =
+  let value word =
+    String.concat " " (List.init 32 (Printf.sprintf "%s%02d" word))
+  in
+  torn_gets [| value "alpha"; value "omega" |]
+
+(* Lengths 100 and 300: a GET that read the size and the bytes in two
+   shared sections returned the 300-byte value cut to 100 bytes. *)
+let test_no_torn_gets_resized () =
+  torn_gets [| String.make 100 's'; String.make 300 'l' |]
 
 (* On a journaled server a PUT is bounded by one journal commit: a value
    too large to seal atomically is refused whole, old value intact. *)
@@ -843,6 +851,8 @@ let suite =
       test_multi_roundtrip;
     Alcotest.test_case "no torn GETs under PUT overwrite" `Quick
       test_no_torn_gets;
+    Alcotest.test_case "no torn GETs when a PUT resizes the value" `Quick
+      test_no_torn_gets_resized;
     Alcotest.test_case "oversized PUT refused whole" `Quick
       test_oversized_put_refused;
     Alcotest.test_case "slow reader gets every byte" `Quick
