@@ -13,6 +13,7 @@ module Pager = Hfad_pager.Pager
 module Btree = Hfad_btree.Btree
 module Crc32 = Hfad_util.Crc32
 module Journal = Hfad_journal.Journal
+module Osd = Hfad_osd.Osd
 module Fs = Hfad.Fs
 module Tag = Hfad_index.Tag
 module P = Hfad_posix.Posix_fs
@@ -56,6 +57,31 @@ let make_tests () =
       Btree.put postings ~key:(posting term doc) ~value:"\001"
     done
   done;
+  (* A drain of one new document: 27 of the 64 terms gain a posting for
+     the next OID, at the right edge of each term's range. Done, then
+     undone, either key by key or as one sorted batch each way. *)
+  let drained = List.init 27 (fun i -> posting (2 * i) (docs + 1)) in
+  let drain_keywise () =
+    List.iter (fun key -> Btree.put postings ~key ~value:"\001") drained;
+    List.iter (fun key -> ignore (Btree.remove postings key)) drained
+  in
+  let drain_batch () =
+    Btree.apply_sorted postings (List.map (fun key -> (key, fun _ -> Some "\001")) drained);
+    Btree.apply_sorted postings (List.map (fun key -> (key, fun _ -> None)) drained)
+  in
+  (* checkpoint fixture: a journaled OSD and 45 pages near its device's
+     end, past anything the allocator hands out here, dirtied before
+     each checkpoint (the superblock makes 46) *)
+  let cdev = Device.create ~block_size:4096 ~blocks:4096 () in
+  let cosd =
+    Osd.format ~config:(Osd.Config.v ~cache_pages:1024 ~journal_pages:256 ()) cdev
+  in
+  let checkpoint_45 () =
+    for page = 4000 to 4044 do
+      Pager.with_page_mut (Osd.pager cosd) page (fun b -> Bytes.set b 0 'x')
+    done;
+    Osd.flush_exn cosd
+  in
   (* The probes cycle through 1,024 keys, so a row averages over where
      its key lies in its leaf. *)
   let probes = Array.init 1024 (fun i -> posting (i * 7 mod 64) (1 + (i * 131 mod docs))) in
@@ -104,6 +130,11 @@ let make_tests () =
       (Staged.stage (fun () -> ignore (Btree.find postings (probe ()))));
     Test.make ~name:"btree.put(55k postings)"
       (Staged.stage (fun () -> Btree.put postings ~key:(probe ()) ~value:"\001"));
+    Test.make ~name:"drain 27-term doc: per-key put+remove"
+      (Staged.stage drain_keywise);
+    Test.make ~name:"drain 27-term doc: one batch each way"
+      (Staged.stage drain_batch);
+    Test.make ~name:"osd.checkpoint(45 dirty pages)" (Staged.stage checkpoint_45);
     Test.make ~name:"buddy.alloc+free(8)"
       (Staged.stage (fun () -> Buddy.free buddy (Buddy.alloc buddy 8)));
     Test.make ~name:"osd.read(4KiB@512K)"

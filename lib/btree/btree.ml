@@ -52,9 +52,12 @@ let min_node_size t = Pager.page_size t.pager / 4
 
 (* One node visit, the paper's "index traversal": count it and run [f]
    on the page's bytes. *)
-let visit t page_no f =
+let count_visit t =
   Atomic.incr t.nodes_visited;
-  Counter.incr global_nodes;
+  Counter.incr global_nodes
+
+let visit t page_no f =
+  count_visit t;
   Pager.with_page t.pager page_no f
 
 (* A visited node decoded whole, for the paths that restructure it. *)
@@ -457,16 +460,22 @@ let grow_root t sep right_page =
   store t t.root
     (Node.Internal { keys = [| sep |]; children = [| left_page; right_page |] })
 
+(* What a root descent reports, absorbed at the root. *)
+let settle_root t = function
+  | Fits -> ()
+  | Underfull -> collapse_root t
+  | Split (sep, right_page) -> grow_root t sep right_page
+
+(* One root descent to [key]'s leaf that binds it to [value], splitting
+   on the way back up as needed. *)
+let put_descent t key value =
+  begin_descent t;
+  settle_root t (update_rec t t.root key (put_leaf t key value))
+
 let put t ~key ~value =
   check_key t key;
   check_value t value;
-  traced t ~op:"put" @@ fun () ->
-  exclusive t (fun () ->
-      begin_descent t;
-      match update_rec t t.root key (put_leaf t key value) with
-      | Fits -> ()
-      | Underfull -> collapse_root t
-      | Split (sep, right_page) -> grow_root t sep right_page)
+  traced t ~op:"put" @@ fun () -> exclusive t (fun () -> put_descent t key value)
 
 let remove t key =
   traced t ~op:"remove" @@ fun () ->
@@ -486,6 +495,107 @@ let remove t key =
       | Split (sep, right_page) -> grow_root t sep right_page
       | Fits | Underfull -> collapse_root t);
       !deleted)
+
+(* --- sorted batches -----------------------------------------------------
+
+   A batch walks its keys left to right. It stays on a leaf while the
+   next key is at most the leaf's last key, or the leaf has no right
+   sibling: the previous key routed there, and leaves partition the key
+   space, so the next one does too. A change that fits is made in place,
+   under the one pin of the leaf that its descent took. A put that does
+   not fit the page leaves it untouched and takes the ordinary root
+   descent, which splits; a change that leaves the leaf below a quarter
+   page takes a root descent to the same leaf, which repairs it as
+   [remove] would. Either way the next key descends afresh. *)
+
+type batch_stop =
+  | Beyond  (** the next key lies past this leaf, or the batch is done *)
+  | Overflows of string * string  (** a put the leaf cannot take *)
+  | Underfull_at of string  (** the leaf fell below its minimum fill *)
+
+(* Apply the changes of [pending] that lie in leaf [page_no], in place.
+   The first one does: the caller descended for it. Returns why it
+   stopped, and whether it wrote the page. *)
+let apply_in_leaf t page_no page pending =
+  let wrote = ref false in
+  let rec go ~first =
+    match !pending with
+    | [] -> Beyond
+    | (key, f) :: rest ->
+        let pos = Node.search page key in
+        if
+          not
+            (first || pos >= 0
+            || -pos - 1 < Node.nkeys page
+            || Option.is_none (Node.next_leaf page))
+        then Beyond
+        else begin
+          pending := rest;
+          let old = if pos >= 0 then Some (Node.value_at page pos) else None in
+          let next = f old in
+          match next with
+          | _ when Option.equal String.equal old next -> go ~first:false
+          | Some value ->
+              check_value t value;
+              let used = Node.put_at page pos key value in
+              if used < 0 then Overflows (key, value)
+              else begin
+                wrote := true;
+                match leaf_change t page_no used with
+                | Fits -> go ~first:false
+                | Underfull | Split _ -> Underfull_at key
+              end
+          | None -> (
+              wrote := true;
+              match leaf_change t page_no (Node.remove_at page pos) with
+              | Fits -> go ~first:false
+              | Underfull | Split _ -> Underfull_at key)
+        end
+  in
+  let stop = go ~first:true in
+  (stop, !wrote)
+
+(* Descend to the leaf of [pending]'s first key, counting the visits,
+   and apply there what lies in that leaf. *)
+let rec batch_descent t page_no key pending =
+  count_visit t;
+  let step =
+    Pager.with_page_update t.pager page_no (fun page ->
+        if Node.is_leaf page then
+          let stop, wrote = apply_in_leaf t page_no page pending in
+          (Leaf stop, wrote)
+        else (Child (Node.child_for page key), false))
+  in
+  match step with
+  | Leaf stop -> stop
+  | Child child -> batch_descent t child key pending
+
+let rec strictly_ascending = function
+  | (a, _) :: ((b, _) :: _ as rest) ->
+      String.compare a b < 0 && strictly_ascending rest
+  | [ _ ] | [] -> true
+
+let apply_sorted t changes =
+  List.iter (fun (key, _) -> check_key t key) changes;
+  if not (strictly_ascending changes) then
+    invalid_arg "Btree.apply_sorted: keys not strictly ascending";
+  traced t ~op:"apply" @@ fun () ->
+  exclusive t @@ fun () ->
+  let pending = ref changes in
+  let rec pass () =
+    match !pending with
+    | [] -> ()
+    | (key, _) :: _ ->
+        begin_descent t;
+        (match batch_descent t t.root key pending with
+        | Beyond -> ()
+        | Overflows (key, value) -> put_descent t key value
+        | Underfull_at key ->
+            begin_descent t;
+            settle_root t (update_rec t t.root key (fun _ _ -> Underfull)));
+        pass ()
+  in
+  pass ()
 
 (* --- ordered access -------------------------------------------------- *)
 

@@ -21,11 +21,12 @@
     shared/exclusive discipline — pass a {!Hfad_util.Rwlock.t} at
     {!create}/{!open_tree} and every read entry point ([find], range
     scans, [verify], ...) holds the shared side while every mutation
-    ([put], [remove], [clear], [destroy]) holds the exclusive side. The
-    lock is reentrant, so a tree nested under an OSD that already holds a
-    side adds only a counter bump. Without a lock (the default), the old
-    contract applies: callers serialize access. Stats are atomic either
-    way, so concurrent shared-side descents never lose counts.
+    ([put], [remove], [apply_sorted], [clear], [destroy]) holds the
+    exclusive side. The lock is reentrant, so a tree nested under an OSD
+    that already holds a side adds only a counter bump. Without a lock
+    (the default), the old contract applies: callers serialize access.
+    Stats are atomic either way, so concurrent shared-side descents never
+    lose counts.
 
     Every root-to-leaf descent and every node visit is counted — these
     are the "index traversals" of §2.3 that experiment C1 measures. *)
@@ -74,6 +75,32 @@ val put : t -> key:string -> value:string -> unit
 
 val remove : t -> string -> bool
 (** [remove t k] deletes [k]; returns whether it was present. *)
+
+val apply_sorted : t -> (string * (string option -> string option)) list -> unit
+(** [apply_sorted t changes] rebinds every key of [changes], whose keys
+    must be strictly ascending: [f] is given the key's current value
+    ([None] when unbound) and returns its new one ([None] unbinds it).
+    The whole batch runs under one exclusive section, as one
+    left-to-right pass:
+    - it stays on the current leaf while the next key is at most that
+      leaf's last key (leaves partition the key space, so no fence keys
+      are needed), and descends from the root only for a key beyond it;
+    - a change that fits is made in place, and a binding whose value
+      does not change is not written, so a batch that changes nothing
+      dirties no page;
+    - a change that would split its leaf, or leave it below its minimum
+      fill, takes the ordinary root descent of {!put} or {!remove}, and
+      the next key then descends afresh.
+
+    The resulting bindings are those of the same changes made one by one
+    with {!put} and {!remove}. Each [f] runs exactly once, in key order,
+    so a later key's [f] may depend on what an earlier one saw; [f] must
+    not touch the tree.
+
+    @raise Invalid_argument when the keys are not strictly ascending, and
+    {!Key_too_large} for an oversized key, before anything changes.
+    @raise Value_too_large for an oversized new value, and whatever an
+    [f] raises, with the changes before it applied. *)
 
 (** {1 Ordered access}
 

@@ -37,17 +37,6 @@ let split_postings_key k =
   let sep = String.index_from k 1 '\000' in
   (String.sub k 1 (sep - 1), Oid.of_key (String.sub k (sep + 1) 8))
 
-(* --- counters ------------------------------------------------------------ *)
-
-let bump t key delta =
-  let current =
-    match Btree.find t.tree key with Some v -> decode_int v | None -> 0
-  in
-  let next = current + delta in
-  if next < 0 then Fmt.failwith "Fulltext: counter %S underflow" key
-  else if next = 0 then ignore (Btree.remove t.tree key)
-  else Btree.put t.tree ~key ~value:(encode_int next)
-
 (* --- indexing -------------------------------------------------------------- *)
 
 let doc_terms t oid =
@@ -58,58 +47,91 @@ let doc_terms t oid =
       :: acc)
   |> List.rev
 
-(* A term of [oid]'s text is its posting, its forward key and one unit
-   of its document frequency. *)
-let add_term t oid (term, tf) =
-  Btree.put t.tree ~key:(postings_key term oid) ~value:(encode_int tf);
-  Btree.put t.tree ~key:(forward_key oid term) ~value:"";
-  bump t (df_key term) 1
+(* A counter's new binding: zero unbinds it. *)
+let counter key delta old =
+  let current = match old with Some v -> decode_int v | None -> 0 in
+  let next = current + delta in
+  if next < 0 then Fmt.failwith "Fulltext: counter %S underflow" key
+  else if next = 0 then None
+  else Some (encode_int next)
 
-let drop_term t oid term =
-  ignore (Btree.remove t.tree (postings_key term oid));
-  ignore (Btree.remove t.tree (forward_key oid term));
-  bump t (df_key term) (-1)
+let rec distinct_sorted = function
+  | a :: (b :: _ as rest) -> Oid.compare a b <> 0 && distinct_sorted rest
+  | [ _ ] | [] -> true
 
-let remove_unlocked t oid =
-  match Btree.find t.tree (doc_key oid) with
-  | None -> ()
-  | Some _ ->
-      List.iter (drop_term t oid) (doc_terms t oid);
-      ignore (Btree.remove t.tree (doc_key oid));
-      bump t count_key (-1)
+(* The one write path. Each document's old terms (its forward keys, in
+   term order) are merged with its new term frequencies (sorted by
+   term), and only what changed becomes a key change:
+   - a term only in the old text loses its posting and forward key;
+   - a term only in the new text gains them;
+   - a term in both rebinds its posting, which the tree leaves alone if
+     its frequency did not change.
+   Each term's document-frequency delta is summed over the batch, so a
+   term shared by many documents gets one update, and the document
+   count moves once, by what the documents' records saw: "D" keys sort
+   before "N", so their changes run first. Every change is applied in
+   one ascending pass over the tree. *)
+let index_batch t docs =
+  locked t @@ fun () ->
+  if not (distinct_sorted (List.sort Oid.compare (List.map fst docs))) then
+    invalid_arg "Fulltext.index_batch: an OID is listed twice";
+  let changes = ref [] in
+  let change key f = changes := (key, f) :: !changes in
+  let set value _ = value in
+  let df = Hashtbl.create 64 in
+  let df_delta term d =
+    Hashtbl.replace df term (d + Option.value ~default:0 (Hashtbl.find_opt df term))
+  in
+  let docs_delta = ref 0 in
+  let document (oid, text) =
+    let news =
+      match text with Some text -> Tokenizer.term_frequencies text | None -> []
+    in
+    let drop term =
+      change (postings_key term oid) (set None);
+      change (forward_key oid term) (set None);
+      df_delta term (-1)
+    and add (term, tf) =
+      change (postings_key term oid) (set (Some (encode_int tf)));
+      change (forward_key oid term) (set (Some ""));
+      df_delta term 1
+    in
+    let rec merge olds news =
+      match (olds, news) with
+      | [], _ -> List.iter add news
+      | _, [] -> List.iter drop olds
+      | o :: olds', ((n, tf) as nt) :: news' ->
+          let c = String.compare o n in
+          if c < 0 then (drop o; merge olds' news)
+          else if c > 0 then (add nt; merge olds news')
+          else begin
+            change (postings_key n oid) (set (Some (encode_int tf)));
+            merge olds' news'
+          end
+    in
+    merge (doc_terms t oid) news;
+    let record =
+      Option.map
+        (fun _ -> encode_int (List.fold_left (fun acc (_, n) -> acc + n) 0 news))
+        text
+    in
+    change (doc_key oid) (fun old ->
+        (match (old, record) with
+        | None, Some _ -> incr docs_delta
+        | Some _, None -> decr docs_delta
+        | None, None | Some _, Some _ -> ());
+        record)
+  in
+  List.iter document docs;
+  Hashtbl.iter
+    (fun term d -> if d <> 0 then change (df_key term) (counter (df_key term) d))
+    df;
+  change count_key (fun old -> counter count_key !docs_delta old);
+  Btree.apply_sorted t.tree
+    (List.sort (fun (a, _) (b, _) -> String.compare a b) !changes)
 
-(* Reindex by merging the document's old terms (forward keys, in key
-   order) with its new term frequencies (sorted by term), writing only
-   what changed: a term in both texts keeps its forward key and document
-   frequency, and its posting is rewritten only if its frequency
-   changed. *)
-let add_document t oid text =
-  locked t (fun () ->
-      let terms = Tokenizer.term_frequencies text in
-      let total_tokens = List.fold_left (fun acc (_, n) -> acc + n) 0 terms in
-      let old_total = Btree.find t.tree (doc_key oid) in
-      let rec merge olds news =
-        match (olds, news) with
-        | [], _ -> List.iter (add_term t oid) news
-        | _, [] -> List.iter (drop_term t oid) olds
-        | o :: olds', ((n, tf) as nt) :: news' ->
-            let c = String.compare o n in
-            if c < 0 then (drop_term t oid o; merge olds' news)
-            else if c > 0 then (add_term t oid nt; merge olds news')
-            else begin
-              let key = postings_key n oid and value = encode_int tf in
-              if Btree.find t.tree key <> Some value then
-                Btree.put t.tree ~key ~value;
-              merge olds' news'
-            end
-      in
-      merge (if old_total = None then [] else doc_terms t oid) terms;
-      let total = encode_int total_tokens in
-      if old_total <> Some total then
-        Btree.put t.tree ~key:(doc_key oid) ~value:total;
-      if old_total = None then bump t count_key 1)
-
-let remove_document t oid = locked t (fun () -> remove_unlocked t oid)
+let add_document t oid text = index_batch t [ (oid, Some text) ]
+let remove_document t oid = index_batch t [ (oid, None) ]
 
 let is_indexed t oid = locked t (fun () -> Btree.mem t.tree (doc_key oid))
 

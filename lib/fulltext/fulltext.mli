@@ -34,27 +34,45 @@ val create : Hfad_btree.Btree.t -> t
     run) as a full-text index. The tree must not be used for anything
     else. *)
 
-(** {1 Indexing} *)
+(** {1 Indexing}
+
+    One write path: {!index_batch}. {!add_document} and
+    {!remove_document} are batches of one. *)
+
+val index_batch : t -> (Hfad_osd.Oid.t * string option) list -> unit
+(** [index_batch t docs] brings every listed document up to date:
+    [Some text] indexes (or reindexes) the document as [text], and
+    [None] unindexes it (a no-op for an OID that is not indexed). The
+    OIDs must be distinct ([Invalid_argument] otherwise).
+
+    The index keeps no copy of a text, so a document's old terms come
+    from its forward keys. They are merged, in term order, with the new
+    text's term frequencies into key changes:
+    - a term only in the old text loses its posting and forward key;
+    - a term only in the new text gains them;
+    - a term in both keeps its forward key, and its posting is rewritten
+      only if its frequency changed.
+
+    Each term's document-frequency delta is summed over the batch, so a
+    term shared by many documents gets one update; a document record is
+    rewritten only if its token count changed; and the document count
+    moves once, by the number of documents gained or lost. All the
+    changes are sorted by key and applied in one ascending pass over the
+    tree ({!Hfad_btree.Btree.apply_sorted}), which visits each touched
+    leaf once per run of keys in it and writes no binding whose value
+    does not change.
+
+    The resulting bindings are exactly those of removing each document
+    and indexing it afresh, and re-indexing unchanged texts writes
+    nothing.
+    @raise Failure when a counter would go below zero (an index that
+    disagrees with itself); the changes before it stay applied. *)
 
 val add_document : t -> Hfad_osd.Oid.t -> string -> unit
-(** [add_document t oid text] indexes [text] under [oid]. Re-adding an
-    already-indexed OID replaces only what changed. The index keeps no
-    copy of the text, so the old terms come from the forward keys; they
-    are merged, in term order, with the new text's term frequencies:
-    - a term only in the old text loses its posting, its forward key
-      and one unit of document frequency;
-    - a term only in the new text gains them;
-    - a term in both keeps its forward key and document frequency, and
-      its posting is rewritten only if its frequency changed;
-    - the document record is rewritten only if its token count changed,
-      and the document count moves only for a new document.
-
-    The resulting bindings are exactly those of removing the document
-    and indexing it afresh; re-adding an unchanged text writes
-    nothing. *)
+(** [add_document t oid text] is [index_batch t [(oid, Some text)]]. *)
 
 val remove_document : t -> Hfad_osd.Oid.t -> unit
-(** Remove every posting of [oid]. No-op if the OID is not indexed. *)
+(** [remove_document t oid] is [index_batch t [(oid, None)]]. *)
 
 val is_indexed : t -> Hfad_osd.Oid.t -> bool
 val doc_count : t -> int

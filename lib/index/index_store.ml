@@ -119,26 +119,38 @@ let backlog t = shared t (fun () -> Oid_set.cardinal t.dirty)
 
 (* One metadata lookup decides: a regular object is indexed from its
    bytes; a deleted object, a directory or a symlink loses its postings. *)
-let reindex t oid =
+let content t oid =
   match Osd.metadata t.osd oid with
-  | { Meta.kind = Meta.Regular; size; _ } ->
-      Fulltext.add_document t.fulltext oid (Osd.read t.osd oid ~off:0 ~len:size)
+  | { Meta.kind = Meta.Regular; size; _ } -> Some (Osd.read t.osd oid ~off:0 ~len:size)
   | { Meta.kind = Meta.Directory | Meta.Symlink; _ }
   | (exception Osd.No_such_object _) ->
-      Fulltext.remove_document t.fulltext oid
+      None
+
+(* Documents per [Fulltext.index_batch] call. A large backlog is applied
+   in chunks of this many, so a drain holds at most this many texts and
+   their key changes at once. *)
+let drain_chunk = 64
 
 (* Ascending OID order: postings keys end in the OID, so a bulk load
    appends each term's new postings at the right edge of its key range.
-   Any other order packs the postings pages differently. *)
+   A chunk is unmarked only after it applies, so a chunk that raises
+   stays marked. *)
 let drain ?(max_items = max_int) t =
   exclusive t @@ fun () ->
   let rec go n =
-    match Oid_set.min_elt_opt t.dirty with
-    | Some oid when n < max_items ->
-        reindex t oid;
-        t.dirty <- Oid_set.remove oid t.dirty;
-        go (n + 1)
-    | Some _ | None -> n
+    let chunk =
+      if n >= max_items then []
+      else
+        Oid_set.to_seq t.dirty
+        |> Seq.take (min drain_chunk (max_items - n))
+        |> List.of_seq
+    in
+    if chunk = [] then n
+    else begin
+      Fulltext.index_batch t.fulltext (List.map (fun oid -> (oid, content t oid)) chunk);
+      t.dirty <- List.fold_left (fun dirty oid -> Oid_set.remove oid dirty) t.dirty chunk;
+      go (n + List.length chunk)
+    end
   in
   go 0
 

@@ -80,7 +80,23 @@ val drain : ?max_items:int -> t -> int
 (** Reindex up to [max_items] marked objects (default: all), in
     ascending OID order, from their current bytes: a [Regular] object is
     indexed, and a deleted object, directory or symlink has its postings
-    removed. Returns how many were reindexed. *)
+    removed. Returns how many were reindexed.
+
+    The objects go to {!Hfad_fulltext.Fulltext.index_batch} in chunks of
+    a fixed number of documents (a constant, not an option), so a large
+    backlog ([Fs.drain_index], C6's bursts) never holds more than one
+    chunk's texts and key changes. Each chunk is one sorted pass over
+    the full-text tree, and it is unmarked only after it applies: a
+    drain that raises leaves its whole chunk marked.
+
+    A drain that fails part-way is not made safe here. A retried partial
+    drain is not idempotent: a chunk that raised may have applied some
+    of its key changes, and its summed document-frequency deltas would
+    be applied again. (Before batches, a failure between a forward-key
+    put and its frequency bump under-counted that term in the same
+    way.) What keeps a drain from failing part-way is an admission
+    check that bounds the dirty set before the drain starts, which this
+    module does not make. *)
 
 val fulltext : t -> Hfad_fulltext.Fulltext.t
 

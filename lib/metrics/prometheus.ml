@@ -137,7 +137,23 @@ let emit_family b = function
       Buffer.add_string b (Printf.sprintf "%s_sum %d\n" n sum);
       Buffer.add_string b (Printf.sprintf "%s_count %d\n" n count)
 
+(* The runtime's collector counters, process-wide like the global
+   registry they live in. Registered at start-up, so the registry's
+   size does not move on the first exposition. *)
+let gc_minor_collections = Registry.counter Registry.global "gc.minor_collections"
+let gc_major_collections = Registry.counter Registry.global "gc.major_collections"
+let gc_minor_words = Registry.counter Registry.global "gc.minor_words"
+let gc_top_heap_words = Registry.counter Registry.global "gc.top_heap_words"
+
+let set_gc_counters () =
+  let s = Gc.quick_stat () in
+  Counter.set gc_minor_collections s.Gc.minor_collections;
+  Counter.set gc_major_collections s.Gc.major_collections;
+  Counter.set gc_minor_words (int_of_float s.Gc.minor_words);
+  Counter.set gc_top_heap_words s.Gc.top_heap_words
+
 let expose ?(registry = Registry.global) () =
+  if registry == Registry.global then set_gc_counters ();
   let b = Buffer.create 4096 in
   List.iter (emit_family b) (families (Registry.counters registry));
   Buffer.contents b

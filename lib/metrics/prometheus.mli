@@ -12,7 +12,12 @@ val sanitize : string -> string
 (** Map a registry counter name to a valid Prometheus metric name. *)
 
 val expose : ?registry:Registry.t -> unit -> string
-(** Full exposition text for [registry] (default {!Registry.global}). *)
+(** Full exposition text for [registry] (default {!Registry.global}).
+    Exposing the global registry first sets its [gc.minor_collections],
+    [gc.major_collections], [gc.minor_words] and [gc.top_heap_words]
+    from [Gc.quick_stat], so every scrape of the process (the server's
+    METRICS reply, [hfadctl metrics]) carries the collector's counters
+    from this one place. *)
 
 val pp : Format.formatter -> Registry.t -> unit
 

@@ -299,7 +299,12 @@ let rec chunks n = function
    outgrows the region degrades into several journaled phases — each
    phase is individually atomic, so no dirty state is ever stranded
    behind a [Journal_full], at the cost of whole-flush atomicity in that
-   overload case only. *)
+   overload case only.
+
+   The dirty frames are journaled in place, not copied
+   ([Pager.dirty_pages]): the exclusive side is held across every phase,
+   so no mutation can change a frame between its journal record and its
+   home write, and NO-STEAL keeps each frame resident until then. *)
 let flush_body t () =
   exclusive t (fun () ->
       write_superblock t;

@@ -60,7 +60,9 @@ type t = {
   mutable a1in_len : int;
   mutable am_len : int;
   mutable ghost_len : int;
-  mutable dirty_len : int;  (* resident dirty frames, maintained O(1) *)
+  dirty_table : (int, frame) Hashtbl.t;
+      (* page_no -> resident dirty frame: updated wherever a frame's
+         dirty bit flips, so write-back and snapshots visit only these *)
   mutex : Mutex.t;
   (* Atomic so concurrent domains never lose an update and [stats] /
      [reset_stats] need not take the frame-table mutex. *)
@@ -166,7 +168,7 @@ let create ?(cache_pages = 1024) ?(no_steal = false) ?(policy = `Twoq) ?kin
     a1in_len = 0;
     am_len = 0;
     ghost_len = 0;
-    dirty_len = 0;
+    dirty_table = Hashtbl.create 64;
     mutex = Mutex.create ();
     reads = Atomic.make 0;
     hits = Atomic.make 0;
@@ -228,11 +230,17 @@ let with_lock t f =
       Mutex.unlock t.mutex;
       raise e
 
+let mark_dirty t frame =
+  if not frame.dirty then begin
+    frame.dirty <- true;
+    Hashtbl.replace t.dirty_table frame.page_no frame
+  end
+
 let write_back t frame =
   if frame.dirty then begin
     Device.write_block t.dev frame.page_no frame.buf;
     frame.dirty <- false;
-    t.dirty_len <- t.dirty_len - 1;
+    Hashtbl.remove t.dirty_table frame.page_no;
     Atomic.incr t.write_backs
   end
 
@@ -307,8 +315,8 @@ let victim_in t sent =
 let full_reason t =
   let blocked_dirty = ref false in
   Hashtbl.iter
-    (fun _ f -> if f.pins = 0 && t.no_steal && f.dirty then blocked_dirty := true)
-    t.frames;
+    (fun _ f -> if f.pins = 0 && t.no_steal then blocked_dirty := true)
+    t.dirty_table;
   if !blocked_dirty then Dirty_no_steal else All_pinned
 
 (* Evict one frame in O(1): 2Q takes the oldest probationary (A1in) frame
@@ -390,7 +398,7 @@ let acquire t page_no ~load =
             {
               buf;
               page_no;
-              dirty = not load;
+              dirty = false;
               pins = 1;
               queue = Q_none;
               prev = frame;
@@ -409,7 +417,7 @@ let acquire t page_no ~load =
                 end
                 else Q_a1in
           in
-          if frame.dirty then t.dirty_len <- t.dirty_len + 1;
+          if not load then mark_dirty t frame;
           enqueue t frame target;
           Hashtbl.replace t.frames page_no frame;
           publish_gauges t;
@@ -418,10 +426,7 @@ let acquire t page_no ~load =
 let release t frame ~dirty =
   with_lock t (fun () ->
       frame.pins <- frame.pins - 1;
-      if dirty && not frame.dirty then begin
-        frame.dirty <- true;
-        t.dirty_len <- t.dirty_len + 1
-      end)
+      if dirty then mark_dirty t frame)
 
 let with_page t page_no f =
   let frame = acquire t page_no ~load:true in
@@ -445,24 +450,34 @@ let with_page_mut t page_no f =
       release t frame ~dirty:true;
       raise e
 
+let with_page_update t page_no f =
+  let frame = acquire t page_no ~load:true in
+  match f frame.buf with
+  | result, dirtied ->
+      release t frame ~dirty:dirtied;
+      result
+  | exception e ->
+      release t frame ~dirty:true;
+      raise e
+
 let zero_page t page_no =
   let frame = acquire t page_no ~load:false in
   Bytes.fill frame.buf 0 (Bytes.length frame.buf) '\000';
   release t frame ~dirty:true
 
-let dirty_count t = with_lock t (fun () -> t.dirty_len)
+let dirty_count t = with_lock t (fun () -> Hashtbl.length t.dirty_table)
+
+(* The dirty frames in ascending page order, from the dirty table. *)
+let dirty_frames t =
+  Hashtbl.fold (fun _ frame acc -> frame :: acc) t.dirty_table []
+  |> List.sort (fun a b -> Int.compare a.page_no b.page_no)
 
 let dirty_pages t =
   with_lock t (fun () ->
-      Hashtbl.fold
-        (fun no frame acc ->
-          if frame.dirty then (no, Bytes.copy frame.buf) :: acc else acc)
-        t.frames [])
-  |> List.sort compare
+      List.map (fun frame -> (frame.page_no, frame.buf)) (dirty_frames t))
 
 let flush_plain t =
-  with_lock t (fun () ->
-      Hashtbl.iter (fun _ frame -> write_back t frame) t.frames);
+  with_lock t (fun () -> List.iter (write_back t) (dirty_frames t));
   Device.flush t.dev
 
 let flush t =
@@ -474,7 +489,7 @@ let flush_pages_plain t page_nos =
   with_lock t (fun () ->
       List.iter
         (fun no ->
-          match Hashtbl.find_opt t.frames no with
+          match Hashtbl.find_opt t.dirty_table no with
           | Some frame -> write_back t frame
           | None -> ())
         page_nos);

@@ -104,13 +104,26 @@ val with_page_mut : t -> int -> (Bytes.t -> 'a) -> 'a
 (** Like {!with_page} but marks the page dirty; it will reach the device
     on eviction or {!flush}. *)
 
+val with_page_update : t -> int -> (Bytes.t -> 'a * bool) -> 'a
+(** Like {!with_page_mut}, but [f] says whether it wrote the page: the
+    page is marked dirty only when [f] returns [(_, true)] or raises.
+    A batch that finds nothing to change leaves the page clean. *)
+
 val zero_page : t -> int -> unit
 (** [zero_page t n] resets page [n] to zeroes (marks dirty) without
     reading it from the device first — used when allocating fresh
     pages. *)
 
+(** {1 Dirty frames}
+
+    The pager keeps a table of its dirty frames, updated wherever a
+    frame's dirty bit flips. {!dirty_pages}, {!flush}, {!flush_pages}
+    and {!dirty_count} visit only that table, never the whole frame
+    table. *)
+
 val flush : t -> unit
-(** Write back all dirty pages and issue a device barrier. *)
+(** Write back all dirty pages, in ascending page order, and issue a
+    device barrier. *)
 
 val flush_pages : t -> int list -> unit
 (** Write back exactly the listed pages (skipping non-resident or clean
@@ -118,11 +131,22 @@ val flush_pages : t -> int list -> unit
     checkpoint needs when the whole dirty set exceeds journal capacity. *)
 
 val dirty_pages : t -> (int * Bytes.t) list
-(** Snapshot (copies) of every dirty page, ascending page order — what a
-    checkpoint must make durable. *)
+(** Every dirty page, ascending page order — what a checkpoint must make
+    durable. The buffers are the frames themselves, not copies: the
+    caller must write them out before anything can change them.
+    [Osd.flush_body] journals them in place, which is safe because:
+    - it holds the OSD's exclusive side for the whole checkpoint, the
+      phase-split case included;
+    - every page mutation holds that side;
+    - NO-STEAL never evicts a dirty frame, so a frame keeps its page
+      until the checkpoint writes it back;
+    - [Device.write_block] copies what it is given.
+
+    A checkpoint that ran its I/O outside the exclusive side would have
+    to copy at least the frames dirtied during that I/O first. *)
 
 val dirty_count : t -> int
-(** Number of resident dirty frames, maintained incrementally (no table
+(** Number of resident dirty frames: the size of the dirty table (no
     scan) — the write pipeline's batch-size trigger polls this on every
     mutation, so it must stay O(1). *)
 

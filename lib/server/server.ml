@@ -350,6 +350,14 @@ let stats t : Wire.Stats.t =
 let rec execute t (req : Wire.request) :
     [ `Reply of Wire.response | `Defer of Wire.response ] =
   let lookup key = Fs.lookup_one t.fs [ key_name key ] in
+  (* A read answers the stack's typed error, as a mutation does: a
+     device fault is "device error: ...", not an exception's name. *)
+  let read f =
+    match Hfad_osd.Osd.guard f with
+    | Ok resp -> `Reply resp
+    | Error (Hfad_osd.Osd.No_such_object _) -> `Reply Wire.Not_found
+    | Error e -> `Reply (err_of t e)
+  in
   let commit ops reply =
     match
       Fs.with_txn t.fs (fun tx ->
@@ -363,27 +371,24 @@ let rec execute t (req : Wire.request) :
   try
     match req with
     | Wire.Ping -> `Reply Wire.Ok_unit
-    | Wire.Get { key } -> (
-        match lookup key with
-        | None -> `Reply Wire.Not_found
-        | Some oid -> `Reply (Wire.Ok_data (Fs.read_all t.fs oid)))
+    | Wire.Get { key } ->
+        read (fun () ->
+            match lookup key with
+            | None -> Wire.Not_found
+            | Some oid -> Wire.Ok_data (Fs.read_all t.fs oid))
     | Wire.Search { query } ->
-        let hits =
-          List.map
-            (fun (oid, score) -> (Oid.to_int64 oid, score))
-            (Fs.search t.fs query)
-        in
-        `Reply (Wire.Ok_hits hits)
-    | Wire.Stat { key } -> (
-        match lookup key with
-        | None -> `Reply Wire.Not_found
-        | Some oid ->
-            `Reply
-              (Wire.Ok_stat
-                 {
-                   oid = Oid.to_int64 oid;
-                   size = Int64.of_int (Fs.size t.fs oid);
-                 }))
+        read (fun () ->
+            Wire.Ok_hits
+              (List.map
+                 (fun (oid, score) -> (Oid.to_int64 oid, score))
+                 (Fs.search t.fs query)))
+    | Wire.Stat { key } ->
+        read (fun () ->
+            match lookup key with
+            | None -> Wire.Not_found
+            | Some oid ->
+                Wire.Ok_stat
+                  { oid = Oid.to_int64 oid; size = Int64.of_int (Fs.size t.fs oid) })
     | Wire.Put { key; data } ->
         commit [ Wire.Tput { key; data } ] (fun oids ->
             Wire.Ok_oid (List.hd oids))

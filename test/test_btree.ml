@@ -672,6 +672,138 @@ let prop_tiny_pages =
       Btree.verify t;
       Btree.to_list t = SMap.bindings !model)
 
+(* --- sorted batches ----------------------------------------------------- *)
+
+type batch_op = Set of string | Keep | Drop
+
+let print_batches batches =
+  String.concat " | "
+    (List.map
+       (fun batch ->
+         String.concat ";"
+           (List.map
+              (fun (k, op) ->
+                match op with
+                | Set v -> Printf.sprintf "%s=%d" k (String.length v)
+                | Keep -> k ^ "=keep"
+                | Drop -> k ^ "=drop")
+              batch))
+       batches)
+
+(* Batches over 300 keys whose values run from empty to 40 bytes, so on
+   256-byte pages a batch splits, merges and rebalances leaves. A batch
+   leans toward puts or toward removes, and now and then it drops every
+   key, which collapses the root. *)
+let gen_batches =
+  QCheck.Gen.(
+    let key = map (Printf.sprintf "k%03d") (int_range 0 299) in
+    let value = map2 String.make (int_range 0 40) (char_range 'a' 'z') in
+    let batch =
+      int_range 0 3 >>= fun lean ->
+      list_size (int_range 0 80)
+        (pair key
+           (frequency
+              [
+                (4, map (fun v -> Set v) value);
+                (1, return Keep);
+                ((2 * lean) + 1, return Drop);
+              ]))
+    in
+    let wipe = return (List.init 300 (fun i -> (Printf.sprintf "k%03d" i, Drop))) in
+    list_size (int_range 1 12) (frequency [ (8, batch); (1, wipe) ]))
+
+let prop_apply_sorted_matches_model =
+  QCheck.Test.make ~name:"apply_sorted behaves like Map on 256-byte pages"
+    ~count:80 (QCheck.make ~print:print_batches gen_batches) (fun batches ->
+      let t, _ = mk_tree ~page_size:256 () in
+      let model = ref SMap.empty in
+      List.for_all
+        (fun batch ->
+          let batch = List.sort_uniq (fun (a, _) (b, _) -> String.compare a b) batch in
+          let before = !model in
+          let change (k, op) =
+            ( k,
+              fun old ->
+                if not (Option.equal String.equal old (SMap.find_opt k before)) then
+                  Alcotest.failf "%s: given a value that is not its current one" k;
+                match op with Set v -> Some v | Keep -> old | Drop -> None )
+          in
+          Btree.apply_sorted t (List.map change batch);
+          List.iter
+            (fun (k, op) ->
+              match op with
+              | Set v -> model := SMap.add k v !model
+              | Keep -> ()
+              | Drop -> model := SMap.remove k !model)
+            batch;
+          Btree.verify t;
+          Btree.to_list t = SMap.bindings !model)
+        batches)
+
+(* The keys of the leftmost leaf, read off its page. *)
+let leftmost_leaf_keys t pager =
+  let rec leftmost page_no =
+    match
+      Pager.with_page pager page_no (fun page ->
+          if Node.is_leaf page then None else Some (Node.child page 0))
+    with
+    | None -> page_no
+    | Some child -> leftmost child
+  in
+  Pager.with_page pager (leftmost (Btree.root t)) (fun page ->
+      List.init (Node.nkeys page) (fun i -> fst (Node.binding page i)))
+
+let test_apply_sorted_one_leaf_one_descent () =
+  let t, pager, _ = mk_tree_env () in
+  for i = 0 to 499 do
+    Btree.put t ~key:(key i) ~value:(value i)
+  done;
+  check Alcotest.bool "three levels or more" true (Btree.height t >= 3);
+  let keys = leftmost_leaf_keys t pager in
+  check Alcotest.bool "the leaf holds several keys" true (List.length keys >= 2);
+  (* Same-length values, so every change fits in place. *)
+  Btree.reset_stats t;
+  Btree.apply_sorted t
+    (List.map (fun k -> (k, fun old -> Option.map String.uppercase_ascii old)) keys);
+  check Alcotest.int "one descent for one leaf" 1 (Btree.stats t).Btree.descents;
+  List.iter
+    (fun k ->
+      check Alcotest.bool (k ^ " rebound") true
+        (match Btree.find t k with
+        | Some v -> v = String.uppercase_ascii v && String.length v > 0
+        | None -> false))
+    keys;
+  Btree.verify t;
+  (* Every key kept, and an absent key after each one left absent: no
+     value changes, so no page is dirtied. *)
+  Pager.flush pager;
+  let before = Btree.to_list t in
+  Btree.apply_sorted t
+    (List.concat
+       (List.init 500 (fun i -> [ (key i, Fun.id); (key i ^ "+", fun _ -> None) ])));
+  check Alcotest.int "no page dirtied" 0 (Pager.dirty_count pager);
+  check Alcotest.bool "no binding changed" true (before = Btree.to_list t);
+  Alcotest.check_raises "keys out of order"
+    (Invalid_argument "Btree.apply_sorted: keys not strictly ascending")
+    (fun () -> Btree.apply_sorted t [ (key 2, Fun.id); (key 1, Fun.id) ]);
+  check Alcotest.int "a refused batch changes nothing" 0 (Pager.dirty_count pager)
+
+let test_apply_sorted_restructures () =
+  let t, buddy = mk_tree () in
+  Btree.apply_sorted t (List.init 600 (fun i -> (key i, fun _ -> Some (value i))));
+  Btree.verify t;
+  check Alcotest.bool "the batch split leaves" true ((Btree.stats t).Btree.splits > 0);
+  check Alcotest.int "every key bound" 600 (Btree.cardinal t);
+  let live = (Buddy.stats buddy).Buddy.live_allocations in
+  Btree.apply_sorted t
+    (List.init 600 (fun i -> (key i, fun old -> if i mod 300 = 7 then old else None)));
+  Btree.verify t;
+  check Alcotest.(list string) "two keys left" [ key 7; key 307 ]
+    (List.map fst (Btree.to_list t));
+  check Alcotest.int "the root collapsed to a leaf" 1 (Btree.height t);
+  check Alcotest.bool "pages freed" true
+    ((Buddy.stats buddy).Buddy.live_allocations < live)
+
 let suite =
   [
     Alcotest.test_case "node leaf roundtrip" `Quick test_node_leaf_roundtrip;
@@ -715,4 +847,9 @@ let suite =
     qtest prop_structural_invariants;
     qtest prop_range_matches_model;
     qtest prop_tiny_pages;
+    qtest prop_apply_sorted_matches_model;
+    Alcotest.test_case "apply_sorted: one leaf costs one descent" `Quick
+      test_apply_sorted_one_leaf_one_descent;
+    Alcotest.test_case "apply_sorted splits, merges and collapses" `Quick
+      test_apply_sorted_restructures;
   ]

@@ -7,6 +7,7 @@ module Pager = Hfad_pager.Pager
 module Buddy = Hfad_alloc.Buddy
 module Btree = Hfad_btree.Btree
 module Osd = Hfad_osd.Osd
+module Oid = Hfad_osd.Oid
 module Fs = Hfad.Fs
 module Tag = Hfad_index.Tag
 module P = Hfad_posix.Posix_fs
@@ -522,6 +523,92 @@ let test_barrier_acked_never_lost () =
   Printf.printf
     "barrier-acked sweep: %d crash points, batch two survived all\n%!" total
 
+(* --- crash sweep over a many-document drain ----------------------------------
+
+   A lazy pipelined stack whose barrier commit drains 20 documents that
+   share common words in one sorted pass over the full-text tree. On
+   512-byte pages the pass splits postings leaves, and the checkpoint
+   journals tens of dirty frames in place. Crash at every write of that
+   commit, dropped and torn: recovery lands pre or post under
+   [Fs.verify], re-recovery lands in the same state, and a search for a
+   shared term returns exactly the pre set or exactly the post set. *)
+
+let drain_places = [| "harbor"; "lantern"; "meadow"; "orchard"; "quarry"; "willow" |]
+
+let drain_text i =
+  Printf.sprintf "shared ledger %s %s entry%d common notes" drain_places.(i mod 6)
+    drain_places.(i * 5 mod 6) i
+
+let build_drain_scenario () =
+  let dev = Device.create ~block_size:512 ~blocks:2048 () in
+  let fs =
+    Fs.format
+      ~config:
+        (Fs.Config.v ~index_mode:Fs.Lazy ~journal_pages:256
+           ~batch_max_pages:1_000_000 ~batch_max_age:3600.0 ())
+      dev
+  in
+  Fs.start_pipeline fs;
+  let create i = Fs.create_exn fs ~content:(drain_text i) in
+  let pre = List.init 4 create in
+  (match Fs.sync fs with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "setup barrier failed: %s" (Fs.error_message e));
+  let post = pre @ List.init 20 (fun i -> create (4 + i)) in
+  (dev, fs, pre, post)
+
+let classify_drain fs ~pre ~post =
+  Fs.verify fs;
+  let found = List.sort Oid.compare (List.map fst (Fs.search fs "shared ledger")) in
+  if List.equal Oid.equal found pre then `Pre
+  else if List.equal Oid.equal found post then begin
+    check Alcotest.string "post: the last document whole" (drain_text 23)
+      (Fs.read_all fs (List.nth post 23));
+    `Post
+  end
+  else
+    Alcotest.failf "search found %d documents: neither the %d before nor the %d after"
+      (List.length found) (List.length pre) (List.length post)
+
+let sweep_drain_commit ?torn_bytes () =
+  let reopen dev = Fs.open_existing_exn ~config:(Fs.Config.v ~index_mode:Fs.Lazy ()) dev in
+  let total =
+    let dev, fs, _, _ = build_drain_scenario () in
+    let n = count_writes dev (fun () -> Fs.sync_exn fs) in
+    Fs.stop_pipeline fs;
+    n
+  in
+  check Alcotest.bool "the commit journals tens of frames" true (total >= 40);
+  let pre_n = ref 0 and post_n = ref 0 in
+  for i = 0 to total - 1 do
+    let dev, fs, pre, post = build_drain_scenario () in
+    Device.arm_crash dev ~after_writes:i ?torn_bytes ();
+    (match Fs.sync fs with
+    | Ok () -> Alcotest.failf "crash point %d/%d: barrier claimed durability" i total
+    | Error (Fs.Io _) -> ()
+    | Error e ->
+        Alcotest.failf "crash point %d/%d: unexpected error %s" i total
+          (Fs.error_message e));
+    Fs.stop_pipeline fs;
+    let fs2 = reopen (snapshot dev) in
+    let state = classify_drain fs2 ~pre ~post in
+    (match state with `Pre -> incr pre_n | `Post -> incr post_n);
+    let fs3 = reopen (snapshot (Fs.device fs2)) in
+    if classify_drain fs3 ~pre ~post <> state then
+      Alcotest.failf "crash point %d/%d: re-recovery changed the state" i total
+  done;
+  check Alcotest.bool "some crashes land pre-drain" true (!pre_n > 0);
+  check Alcotest.bool "some crashes land post-drain" true (!post_n > 0);
+  Printf.printf "drain-commit sweep (%s): %d crash points, %d pre / %d post\n%!"
+    (match torn_bytes with
+    | None -> "writes dropped"
+    | Some k -> Printf.sprintf "torn after %d bytes" k)
+    total !pre_n !post_n
+
+let test_drain_commit_sweep () =
+  sweep_drain_commit ();
+  sweep_drain_commit ~torn_bytes:22 ()
+
 (* --- sharded crash sweep --------------------------------------------------- *)
 
 (* Scale-out failure isolation: a 2-shard instance flushes both shards'
@@ -796,6 +883,8 @@ let suite =
       test_group_commit_sweep_torn;
     Alcotest.test_case "barrier-acked mutations never lost" `Quick
       test_barrier_acked_never_lost;
+    Alcotest.test_case "drain-commit sweep: dropped and torn writes" `Quick
+      test_drain_commit_sweep;
     Alcotest.test_case "sharded sweep: one shard crashes, others clean" `Quick
       test_sharded_sweep_dropped;
     Alcotest.test_case "sharded sweep: torn journal isolated to its shard"

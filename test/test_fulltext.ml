@@ -263,6 +263,78 @@ let prop_reindex_matches_fresh_index =
              Btree.to_list tree = Btree.to_list fresh_tree)
            steps))
 
+(* Batch mode: random batches of adds, replaces and removes over 40
+   documents, so a batch's pass crosses and splits leaves. After every
+   batch the tree holds exactly the bindings a pure function of the
+   current texts gives, and [verify] passes. *)
+let pure_bindings docs =
+  let enc n =
+    let b = Bytes.create 10 in
+    Bytes.sub_string b 0 (Hfad_util.Codec.put_varint b 0 n)
+  in
+  let df = Hashtbl.create 16 in
+  let doc (i, text) =
+    let o = Oid.to_key (oid i) in
+    let tfs = Tokenizer.term_frequencies text in
+    List.iter
+      (fun (term, _) ->
+        Hashtbl.replace df term (1 + Option.value ~default:0 (Hashtbl.find_opt df term)))
+      tfs;
+    ("D" ^ o, enc (List.fold_left (fun acc (_, n) -> acc + n) 0 tfs))
+    :: List.concat_map
+         (fun (term, tf) -> [ ("P" ^ term ^ "\000" ^ o, enc tf); ("G" ^ o ^ term, "") ])
+         tfs
+  in
+  let docs_bindings = List.concat_map doc docs in
+  let dfs = Hashtbl.fold (fun term n acc -> ("F" ^ term, enc n) :: acc) df [] in
+  let count = if docs = [] then [] else [ ("N", enc (List.length docs)) ] in
+  List.sort compare (docs_bindings @ dfs @ count)
+
+let gen_ft_batches =
+  QCheck.Gen.(
+    let text =
+      map (String.concat " ")
+        (list_size (0 -- 9) (map (Array.get vocabulary) (0 -- 7)))
+    in
+    list_size (1 -- 10)
+      (list_size (1 -- 20)
+         (pair (1 -- 40) (frequency [ (4, map Option.some text); (1, return None) ]))))
+
+let print_ft_batches batches =
+  String.concat " | "
+    (List.map
+       (fun batch ->
+         String.concat "; "
+           (List.map
+              (function
+                | i, Some text -> Printf.sprintf "add %d %S" i text
+                | i, None -> Printf.sprintf "remove %d" i)
+              batch))
+       batches)
+
+let prop_batch_reindex_matches_pure_bindings =
+  qtest
+    (QCheck.Test.make ~name:"diffed reindex equals a fresh index, in batches"
+       ~count:150
+       (QCheck.make ~print:print_ft_batches gen_ft_batches)
+       (fun batches ->
+         let ft, tree, _ = mk_index_tree () in
+         let current = Hashtbl.create 8 in
+         List.for_all
+           (fun batch ->
+             let batch = List.sort_uniq (fun (a, _) (b, _) -> compare a b) batch in
+             Fulltext.index_batch ft (List.map (fun (i, text) -> (oid i, text)) batch);
+             List.iter
+               (fun (i, text) ->
+                 match text with
+                 | Some text -> Hashtbl.replace current i text
+                 | None -> Hashtbl.remove current i)
+               batch;
+             Fulltext.verify ft;
+             Btree.to_list tree
+             = pure_bindings (Hashtbl.to_seq current |> List.of_seq |> List.sort compare))
+           batches))
+
 let test_reindex_same_text_dirties_at_most_one_leaf () =
   let ft, tree, pager = mk_index_tree () in
   let text i =
@@ -302,6 +374,63 @@ let test_lazy_staleness_until_drain () =
     (Fulltext.search ft [ "pending" ]);
   check Alcotest.int "backlog empty" 0 (Index_store.backlog store)
 
+(* A drain unmarks its chunk only after the chunk applies. Crash-free
+   read faults at every device read of a two-document drain (the
+   objects' metadata and bytes, then the index's own pages) make it
+   raise before anything is written: both documents stay marked and
+   neither is searchable. Once the fault clears, the next drain indexes
+   both. *)
+let test_failed_drain_keeps_its_chunk_marked () =
+  let build () =
+    let dev = Device.create ~block_size:1024 ~blocks:16384 () in
+    let osd = Osd.format ~config:(Osd.Config.v ~cache_pages:256 ()) dev in
+    let store = Index_store.create osd in
+    let oids =
+      List.map
+        (fun text ->
+          let o = Osd.create_object osd in
+          Osd.write osd o ~off:0 text;
+          Index_store.mark_dirty store o;
+          o)
+        [ "first pending document"; "second pending document" ]
+    in
+    Osd.flush_exn osd;
+    Pager.invalidate (Osd.pager osd);
+    (dev, store, oids)
+  in
+  let reads =
+    let dev, store, _ = build () in
+    let n = ref 0 in
+    Device.set_fault dev (fun op _ ->
+        if op = Device.Read then incr n;
+        false);
+    ignore (Index_store.drain store);
+    !n
+  in
+  check Alcotest.bool "the drain reads the device" true (reads > 2);
+  for k = 0 to reads - 1 do
+    let dev, store, oids = build () in
+    let n = ref 0 in
+    Device.set_fault dev (fun op _ ->
+        op = Device.Read
+        && begin
+             incr n;
+             !n > k
+           end);
+    (match Index_store.drain store with
+    | _ -> Alcotest.failf "read %d/%d: the drain did not raise" k reads
+    | exception Device.Io_error _ -> ());
+    Device.clear_fault dev;
+    let ft = Index_store.fulltext store in
+    check Alcotest.int (Printf.sprintf "read %d: both still marked" k) 2
+      (Index_store.backlog store);
+    check (Alcotest.list oid_t) (Printf.sprintf "read %d: nothing indexed" k) []
+      (Fulltext.search ft [ "pending" ]);
+    check Alcotest.int "the next drain indexes both" 2 (Index_store.drain store);
+    check (Alcotest.list oid_t) "both found" oids (Fulltext.search ft [ "pending" ]);
+    Fulltext.verify ft
+  done
+
 let suite =
   [
     Alcotest.test_case "tokenizer basics" `Quick test_tokenizer_basic;
@@ -327,9 +456,12 @@ let suite =
     Alcotest.test_case "empty queries" `Quick test_empty_queries;
     Alcotest.test_case "stopword-only document" `Quick test_stopword_only_document;
     prop_reindex_matches_fresh_index;
+    prop_batch_reindex_matches_pure_bindings;
     Alcotest.test_case "re-adding the current text changes nothing" `Quick
       test_reindex_same_text_dirties_at_most_one_leaf;
     prop_search_finds_containing_docs;
     Alcotest.test_case "lazy: stale until drained" `Quick
       test_lazy_staleness_until_drain;
+    Alcotest.test_case "lazy: a failed drain keeps its chunk marked" `Quick
+      test_failed_drain_keeps_its_chunk_marked;
   ]

@@ -246,6 +246,33 @@ let test_exposition_prefix_churn () =
   check Alcotest.int "registry size restored" size0
     (Registry.size Registry.global)
 
+(* The process exposition carries the collector's counters, set from
+   [Gc.quick_stat] at each scrape: an allocation loop between two
+   scrapes moves them. *)
+let test_exposition_gc_counters () =
+  let scrape () = Prometheus.parse_text (Prometheus.expose ()) in
+  let series name samples =
+    match List.assoc_opt name samples with
+    | Some v -> v
+    | None -> Alcotest.failf "%s missing from the exposition" name
+  in
+  let before = scrape () in
+  let keep = ref [] in
+  for i = 1 to 200_000 do
+    keep := [ i ];
+    ignore (Sys.opaque_identity (Array.make 8 i))
+  done;
+  ignore (Sys.opaque_identity !keep);
+  let after = scrape () in
+  List.iter
+    (fun name ->
+      check Alcotest.bool (name ^ " grows") true
+        (series name after > series name before))
+    [ "gc_minor_collections"; "gc_minor_words" ];
+  List.iter
+    (fun name -> ignore (series name after))
+    [ "gc_major_collections"; "gc_top_heap_words" ]
+
 let prop_prometheus_roundtrip =
   QCheck.Test.make ~name:"Prometheus exposition round-trips counter values"
     ~count:100
@@ -299,5 +326,7 @@ let suite =
       test_prometheus_histogram_family;
     Alcotest.test_case "exposition under prefix-pool churn" `Quick
       test_exposition_prefix_churn;
+    Alcotest.test_case "exposition carries GC counters" `Quick
+      test_exposition_gc_counters;
     qtest prop_prometheus_roundtrip;
   ]

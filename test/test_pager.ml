@@ -255,6 +255,87 @@ let prop_policies_serve_identical_contents =
   QCheck.Test.make ~name:"2Q and LRU serve identical page contents" ~count:300
     (QCheck.make ~print gen) (fun ops -> run `Twoq ops = run `Lru ops)
 
+(* qcheck: the dirty table is exactly the frames written since their
+   last write-back. After any mix of reads, writes, updates, zeroed
+   pages, selective and full write-backs and invalidations,
+   [dirty_pages] lists those pages in page order, each with the bytes
+   last written, and [dirty_count] is its length. NO-STEAL keeps dirty
+   frames resident; an access that finds the cache full changes
+   nothing. *)
+type pager_op =
+  | Read of int
+  | Write of int * char
+  | Update of int * char option
+  | Zero of int
+  | Flush_pages of int list
+  | Flush
+  | Invalidate
+
+let print_pager_op = function
+  | Read n -> Printf.sprintf "read %d" n
+  | Write (n, c) -> Printf.sprintf "write %d %c" n c
+  | Update (n, Some c) -> Printf.sprintf "update %d %c" n c
+  | Update (n, None) -> Printf.sprintf "update %d clean" n
+  | Zero n -> Printf.sprintf "zero %d" n
+  | Flush_pages l -> "flush_pages " ^ String.concat "," (List.map string_of_int l)
+  | Flush -> "flush"
+  | Invalidate -> "invalidate"
+
+let prop_dirty_pages_are_the_written_frames =
+  let gen =
+    QCheck.Gen.(
+      let page = int_range 0 23 and byte = char_range 'a' 'z' in
+      list_size (int_range 1 150)
+        (frequency
+           [
+             (3, map (fun n -> Read n) page);
+             (3, map2 (fun n c -> Write (n, c)) page byte);
+             (2, map2 (fun n c -> Update (n, c)) page (opt byte));
+             (1, map (fun n -> Zero n) page);
+             (1, map (fun l -> Flush_pages l) (list_size (int_range 0 6) page));
+             (1, return Flush);
+             (1, return Invalidate);
+           ]))
+  in
+  let print ops = String.concat "; " (List.map print_pager_op ops) in
+  QCheck.Test.make ~name:"dirty_pages lists exactly the frames written since write-back"
+    ~count:300 (QCheck.make ~print gen) (fun ops ->
+      let block_size = 32 in
+      let _, p = mk ~cache_pages:16 ~block_size ~blocks:24 ~no_steal:true () in
+      let dirty = Hashtbl.create 16 in
+      let filled c = String.make block_size c in
+      let fill c page = Bytes.fill page 0 block_size c in
+      List.for_all
+        (fun op ->
+          (try
+             match op with
+             | Read n -> Pager.with_page p n ignore
+             | Write (n, c) ->
+                 Pager.with_page_mut p n (fill c);
+                 Hashtbl.replace dirty n (filled c)
+             | Update (n, Some c) ->
+                 Pager.with_page_update p n (fun page -> (fill c page, true));
+                 Hashtbl.replace dirty n (filled c)
+             | Update (n, None) -> Pager.with_page_update p n (fun _ -> ((), false))
+             | Zero n ->
+                 Pager.zero_page p n;
+                 Hashtbl.replace dirty n (filled '\000')
+             | Flush_pages l ->
+                 Pager.flush_pages p l;
+                 List.iter (Hashtbl.remove dirty) l
+             | Flush ->
+                 Pager.flush p;
+                 Hashtbl.reset dirty
+             | Invalidate ->
+                 Pager.invalidate p;
+                 Hashtbl.reset dirty
+           with Pager.Cache_full _ -> ());
+          let expected = Hashtbl.to_seq dirty |> List.of_seq |> List.sort compare in
+          let listed = Pager.dirty_pages p in
+          List.map (fun (n, page) -> (n, Bytes.to_string page)) listed = expected
+          && List.length listed = Pager.dirty_count p)
+        ops)
+
 (* --- concurrency ------------------------------------------------------- *)
 
 let test_concurrent_with_page_stats () =
@@ -359,6 +440,7 @@ let suite =
     Alcotest.test_case "per-pager metrics registered" `Quick
       test_per_pager_metrics_registered;
     QCheck_alcotest.to_alcotest prop_policies_serve_identical_contents;
+    QCheck_alcotest.to_alcotest prop_dirty_pages_are_the_written_frames;
     Alcotest.test_case "concurrent with_page stats" `Quick
       test_concurrent_with_page_stats;
     Alcotest.test_case "concurrent mutation distinct pages" `Quick

@@ -6,6 +6,8 @@
    prefix-pool audit every per-instance layer gets. *)
 
 module Device = Hfad_blockdev.Device
+module Pager = Hfad_pager.Pager
+module Osd = Hfad_osd.Osd
 module Fs = Hfad.Fs
 module Tag = Hfad_index.Tag
 module Oid = Hfad_osd.Oid
@@ -829,6 +831,39 @@ let test_refused_tag_does_not_wedge () =
               check Alcotest.string "GET on the second connection" "value"
                 (ok (Client.get c2 ~key:"k")))))
 
+(* A read that hits a device fault answers the stack's typed error, as
+   a PUT under the same fault does, and counts in STATS [errors]. Once
+   the fault clears, the same connection reads the value again. *)
+let test_read_fault_is_typed () =
+  Watchdog.within ~seconds:20.0 "reads under a device read fault" @@ fun () ->
+  with_server (fun fs server ->
+      with_client server (fun c ->
+          ignore (ok (Client.put c ~key:"f" "faulty reads ahead"));
+          (match Fs.sync ~mode:`Checkpoint fs with
+          | Ok () -> ()
+          | Error e -> Alcotest.failf "checkpoint: %s" (Fs.error_message e));
+          Pager.invalidate (Osd.pager (Fs.osd_of_shard fs 0));
+          let errors () = (ok (Client.stats c) : Wire.Stats.t).errors in
+          let errors0 = errors () in
+          let dev = Fs.device fs in
+          let typed what = function
+            | Error (Client.Remote msg)
+              when String.starts_with ~prefix:"device error: " msg ->
+                ()
+            | Error e -> Alcotest.failf "%s: %a" what Client.pp_error e
+            | Ok _ -> Alcotest.failf "%s answered under a read fault" what
+          in
+          Device.set_fault dev (fun op _ -> op = Device.Read);
+          Fun.protect
+            ~finally:(fun () -> Device.clear_fault dev)
+            (fun () ->
+              typed "GET" (Client.get c ~key:"f");
+              typed "STAT" (Client.stat c ~key:"f");
+              typed "SEARCH" (Client.search c "faulty reads"));
+          check Alcotest.int "each counted in STATS errors" 3 (errors () - errors0);
+          check Alcotest.string "GET once the fault clears" "faulty reads ahead"
+            (ok (Client.get c ~key:"f"))))
+
 let test_prefix_pool_audit () =
   let live = Prefix_pool.live "server" in
   let size = Registry.size Registry.global in
@@ -875,4 +910,6 @@ let suite =
       test_prefix_pool_audit;
     Alcotest.test_case "refused TAG does not wedge the server" `Quick
       test_refused_tag_does_not_wedge;
+    Alcotest.test_case "reads under a device fault answer a typed error" `Quick
+      test_read_fault_is_typed;
   ]
