@@ -18,6 +18,10 @@ module Fs = Hfad.Fs
 module Tag = Hfad_index.Tag
 module P = Hfad_posix.Posix_fs
 module H = Hfad_hierfs.Hierfs
+module Fulltext = Hfad_fulltext.Fulltext
+module Words = Hfad_workload.Words
+module Rng = Hfad_util.Rng
+module Zipf = Hfad_util.Zipf
 
 let deep_path = "/a/b/c/d/e/f/leaf.txt"
 
@@ -69,6 +73,42 @@ let make_tests () =
     Btree.apply_sorted postings (List.map (fun key -> (key, fun _ -> Some "\001")) drained);
     Btree.apply_sorted postings (List.map (fun key -> (key, fun _ -> None)) drained)
   in
+  (* wire-write-shaped full-text fixture: documents of about 240 bytes of
+     Zipf(0.99)-drawn common words, 1,024 of them indexed like the
+     wire-write preload. Eight of them are reindexed from one text to
+     another and back, in one chunk or one chunk per document. *)
+  let ft =
+    Fulltext.create (Btree.create pgr alloc ~root:(Buddy.alloc buddy 1))
+  in
+  let rng = Rng.create 29L and zipf = Zipf.create ~n:(Array.length Words.common) ~s:0.99 in
+  let text () =
+    let b = Buffer.create 256 in
+    while Buffer.length b < 240 do
+      if Buffer.length b > 0 then Buffer.add_char b ' ';
+      Buffer.add_string b Words.common.(Zipf.sample zipf rng)
+    done;
+    Buffer.contents b
+  in
+  let ft_docs = Bench_util.scaled 1024 ~smoke:64 in
+  Fulltext.index_batch ft
+    (List.init ft_docs (fun i -> (Hfad_osd.Oid.of_int64 (Int64.of_int (i + 1)), Some (text ()))));
+  let eight texts =
+    List.mapi
+      (fun i t -> (Hfad_osd.Oid.of_int64 (Int64.of_int ((i * 97 mod ft_docs) + 1)), Some t))
+      texts
+  in
+  let before = eight (List.init 8 (fun _ -> text ()))
+  and after = eight (List.init 8 (fun _ -> text ())) in
+  let drain_eight index =
+    index after;
+    index before
+  in
+  let drain_one_chunk () = drain_eight (Fulltext.index_batch ft) in
+  let drain_per_document () =
+    drain_eight (List.iter (fun doc -> Fulltext.index_batch ft [ doc ]))
+  in
+  Fulltext.index_batch ft before;
+  let chunk = Fulltext.prepare ft after in
   (* checkpoint fixture: a journaled OSD and 45 pages near its device's
      end, past anything the allocator hands out here, dirtied before
      each checkpoint (the superblock makes 46) *)
@@ -134,6 +174,11 @@ let make_tests () =
       (Staged.stage drain_keywise);
     Test.make ~name:"drain 27-term doc: one batch each way"
       (Staged.stage drain_batch);
+    Test.make ~name:"drain 8 wire-write docs: one chunk" (Staged.stage drain_one_chunk);
+    Test.make ~name:"drain 8 wire-write docs: one chunk per document"
+      (Staged.stage drain_per_document);
+    Test.make ~name:"footprint count of that chunk"
+      (Staged.stage (fun () -> ignore (Fulltext.footprint ft chunk)));
     Test.make ~name:"osd.checkpoint(45 dirty pages)" (Staged.stage checkpoint_45);
     Test.make ~name:"buddy.alloc+free(8)"
       (Staged.stage (fun () -> Buddy.free buddy (Buddy.alloc buddy 8)));

@@ -624,8 +624,8 @@ let print_op_table ?prev ~dt (s : Wire.Stats.t) =
     s.ops
 
 let print_shard_table ?prev ~dt (s : Wire.Stats.t) =
-  say "  %-8s %8s %8s %8s %10s %10s" "shard" "ckpts" "ckpt/s" "journal"
-    "dirty" "resident";
+  say "  %-8s %8s %8s %8s %10s %8s %10s" "shard" "ckpts" "ckpt/s" "journal"
+    "dirty" "backlog" "resident";
   List.iter
     (fun (sh : Wire.Stats.shard_stat) ->
       let pckpt =
@@ -640,9 +640,9 @@ let print_shard_table ?prev ~dt (s : Wire.Stats.t) =
             | Some q -> q.checkpoints
             | None -> sh.checkpoints)
       in
-      say "  %-8d %8d %8.1f %8d %10d %d/%d" sh.shard sh.checkpoints
+      say "  %-8d %8d %8.1f %8d %10d %8d %d/%d" sh.shard sh.checkpoints
         (if dt > 0. then float_of_int (sh.checkpoints - pckpt) /. dt else 0.)
-        sh.journal_capacity_pages sh.dirty_pages sh.resident_pages
+        sh.journal_capacity_pages sh.dirty_pages sh.backlog sh.resident_pages
         sh.cache_pages)
     s.shards
 

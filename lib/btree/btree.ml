@@ -513,6 +513,11 @@ type batch_stop =
   | Overflows of string * string  (** a put the leaf cannot take *)
   | Underfull_at of string  (** the leaf fell below its minimum fill *)
 
+(* Does a batch's next key, found at [pos] ([Node.search]), lie in this
+   leaf? The first key does: the descent came for it. *)
+let stays page ~first pos =
+  first || pos >= 0 || -pos - 1 < Node.nkeys page || Option.is_none (Node.next_leaf page)
+
 (* Apply the changes of [pending] that lie in leaf [page_no], in place.
    The first one does: the caller descended for it. Returns why it
    stopped, and whether it wrote the page. *)
@@ -523,12 +528,7 @@ let apply_in_leaf t page_no page pending =
     | [] -> Beyond
     | (key, f) :: rest ->
         let pos = Node.search page key in
-        if
-          not
-            (first || pos >= 0
-            || -pos - 1 < Node.nkeys page
-            || Option.is_none (Node.next_leaf page))
-        then Beyond
+        if not (stays page ~first pos) then Beyond
         else begin
           pending := rest;
           let old = if pos >= 0 then Some (Node.value_at page pos) else None in
@@ -596,6 +596,83 @@ let apply_sorted t changes =
         pass ()
   in
   pass ()
+
+(* --- footprint -----------------------------------------------------------
+
+   The pages [apply_sorted] would dirty, counted without writing. The
+   walk is the batch's own: it stays on a leaf by the same rule
+   ([stays]) and descends from the root otherwise (a run of keys past a
+   leaf's last key descends to that leaf once per key). It counts each
+   distinct leaf it lands on and each internal node its descents pass
+   through, and allows for what a restructure adds: the pages a leaf's
+   growth splits off (half a page of overflow each), the sibling of a
+   leaf that may fall below its minimum fill, and an internal page per
+   eight new leaves. A new entry is bounded by its key, the longest
+   value its change may bind, a length byte pair each and its slot; a
+   rebinding of a key already present is taken as no growth. *)
+
+let footprint t changes =
+  if not (strictly_ascending changes) then
+    invalid_arg "Btree.footprint: keys not strictly ascending";
+  traced t ~op:"footprint" @@ fun () ->
+  shared t @@ fun () ->
+  let half = page_size t / 2 in
+  let internals = Hashtbl.create 8 in
+  (* leaf page -> (bytes used, bytes it may gain, bytes it may lose) *)
+  let leaves = Hashtbl.create 16 in
+  (* Take the changes that land in leaf [page_no]; return the rest. *)
+  let in_leaf page_no page pending =
+    let rec take ~first grow freed pending =
+      match pending with
+      | [] -> (grow, freed, [])
+      | (key, bound) :: rest ->
+          let pos = Node.search page key in
+          if not (stays page ~first pos) then (grow, freed, pending)
+          else begin
+            match bound with
+            | Some n when pos < 0 ->
+                take ~first:false (grow + String.length key + n + 6) freed rest
+            | None when pos >= 0 ->
+                take ~first:false grow
+                  (freed + Node.leaf_entry_size key (Node.value_at page pos))
+                  rest
+            | Some _ | None -> take ~first:false grow freed rest
+          end
+    in
+    let grow, freed, rest = take ~first:true 0 0 pending in
+    let _, g, f =
+      Option.value ~default:(Node.used page, 0, 0) (Hashtbl.find_opt leaves page_no)
+    in
+    Hashtbl.replace leaves page_no (Node.used page, g + grow, f + freed);
+    rest
+  in
+  let rec descend page_no key pending =
+    match step t page_no key (fun page -> in_leaf page_no page pending) with
+    | Leaf rest -> rest
+    | Child child ->
+        Hashtbl.replace internals page_no ();
+        descend child key pending
+  in
+  let rec pass = function
+    | [] -> ()
+    | (key, _) :: _ as pending ->
+        begin_descent t;
+        pass (descend t.root key pending)
+  in
+  pass changes;
+  let split_off, siblings =
+    Hashtbl.fold
+      (fun page_no (used, grow, freed) (split_off, siblings) ->
+        let used = used + grow in
+        ( (if used > 2 * half then split_off + ((used - (2 * half) + half - 1) / half)
+           else split_off),
+          if freed > 0 && page_no <> t.root && used - freed < min_node_size t then
+            siblings + 1
+          else siblings ))
+      leaves (0, 0)
+  in
+  Hashtbl.length leaves + Hashtbl.length internals + split_off + siblings
+  + ((split_off + 7) / 8)
 
 (* --- ordered access -------------------------------------------------- *)
 

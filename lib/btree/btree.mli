@@ -102,6 +102,21 @@ val apply_sorted : t -> (string * (string option -> string option)) list -> unit
     @raise Value_too_large for an oversized new value, and whatever an
     [f] raises, with the changes before it applied. *)
 
+val footprint : t -> (string * int option) list -> int
+(** [footprint t changes] bounds the pages {!apply_sorted} would dirty
+    for a batch with these strictly ascending keys, each paired with the
+    longest value its change may bind ([None]: it only unbinds). It
+    writes nothing and holds the shared side; the walk is the batch's
+    own, so it visits the pages the batch would visit.
+
+    The count is each distinct leaf the batch would land on, each
+    internal node its descents pass through, and an allowance for
+    restructuring: the pages a leaf's growth would split off, the
+    sibling of a leaf that could fall below its minimum fill, and an
+    internal page per eight new leaves. It is an estimate meant to err
+    high, not a guarantee.
+    @raise Invalid_argument when the keys are not strictly ascending. *)
+
 (** {1 Ordered access}
 
     Ranges are half-open [\[lo, hi)]; omitting a bound leaves that side

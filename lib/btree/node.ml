@@ -203,6 +203,10 @@ let entries_end page n =
     skip_entry page (is_leaf page) d off
   end
 
+let used page =
+  let n = nkeys page in
+  entries_end page n + (slot_size * n)
+
 (* The offset of entry [i], checked against the entries [\[header_size,
    lim)]. *)
 let entry page lim i =

@@ -79,6 +79,9 @@ val is_leaf : Bytes.t -> bool
 val nkeys : Bytes.t -> int
 (** Entries of a leaf, separators of an internal node. *)
 
+val used : Bytes.t -> int
+(** The page's {!encoded_size}, read in place. *)
+
 (** {2 Internal nodes} *)
 
 val child_for : Bytes.t -> string -> int

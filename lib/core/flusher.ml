@@ -25,12 +25,14 @@ type t = {
   done_ : Condition.t; (* barrier wake: a commit finished (or daemon died) *)
   dirty_count : unit -> int;
   commit : unit -> (unit, Osd.error) result;
+  step : unit -> bool;
   batch_max_pages : int;
   batch_max_age : float;
   mutable wakeup : Wakeup.t option;  (* the daemon's wake, while it runs *)
   mutable worker : Thread.t option;
   mutable stop_req : bool;
   mutable urgent : bool;  (* commit now: a barrier waits, or the size trigger *)
+  mutable step_due : bool;  (* run [step]: a commit ended since it last declined *)
   mutable acked : int;    (* mutations acknowledged (sequence numbers) *)
   mutable durable : int;  (* highest acked mutation made durable *)
   mutable commits : int;
@@ -39,8 +41,8 @@ type t = {
   mutable exited : bool;  (* daemon thread has left its loop *)
 }
 
-let create ?(batch_max_pages = 256) ?(batch_max_age = 0.010) ~dirty_count
-    ~commit () =
+let create ?(batch_max_pages = 256) ?(batch_max_age = 0.010)
+    ?(step = fun () -> false) ~dirty_count ~commit () =
   if batch_max_pages <= 0 then invalid_arg "Flusher.create: batch_max_pages";
   if batch_max_age < 0.0 then invalid_arg "Flusher.create: batch_max_age";
   {
@@ -48,12 +50,14 @@ let create ?(batch_max_pages = 256) ?(batch_max_age = 0.010) ~dirty_count
     done_ = Condition.create ();
     dirty_count;
     commit;
+    step;
     batch_max_pages;
     batch_max_age;
     wakeup = None;
     worker = None;
     stop_req = false;
     urgent = false;
+    step_due = false;
     acked = 0;
     durable = 0;
     commits = 0;
@@ -127,8 +131,26 @@ let run_commit t =
   Condition.broadcast t.done_;
   result
 
-(* The daemon holds [t.mutex] except while it sleeps or commits. It
-   sleeps until woken, or with work pending, until the oldest pending
+(* One background step, without the flusher mutex (it takes the stack's
+   rwlock, as a commit does). Once it declines, or raises, the next one
+   waits for the next commit, so a failing step never spins. *)
+let run_step t =
+  Mutex.unlock t.mutex;
+  let more =
+    match
+      if Trace.enabled () then Trace.with_span ~layer:"flusher" ~op:"step" t.step
+      else t.step ()
+    with
+    | more -> more
+    | exception _ -> false
+  in
+  Mutex.lock t.mutex;
+  if not more then t.step_due <- false
+
+(* The daemon holds [t.mutex] except while it sleeps, commits or steps.
+   A due commit comes first; then, once a commit has released its
+   waiters, background steps run one at a time until one declines; then
+   it sleeps until woken, or with work pending, until the oldest pending
    mutation comes of age. *)
 let worker_loop t wakeup =
   let rec run () =
@@ -145,12 +167,18 @@ let worker_loop t wakeup =
       in
       if pending && (t.stop_req || t.urgent || age_left <= 0.0) then
         match run_commit t with
-        | Ok () -> run ()
+        | Ok () ->
+            t.step_due <- true;
+            run ()
         | Error _ ->
             (* Sticky failure: exit rather than retry against a sick
                device; barriers see [t.failed]. *)
             t.exited <- true;
             Mutex.unlock t.mutex
+      else if t.step_due && not t.stop_req then begin
+        run_step t;
+        run ()
+      end
       else begin
         Mutex.unlock t.mutex;
         Wakeup.wait wakeup
@@ -171,6 +199,7 @@ let start t =
       t.wakeup <- Some wakeup;
       t.stop_req <- false;
       t.urgent <- false;
+      t.step_due <- false;
       t.failed <- None;
       t.exited <- false;
       Mutex.unlock t.mutex;

@@ -21,7 +21,14 @@
        wakes the daemon at once, and with nothing pending it sleeps
        until woken.}
     {- {!barrier} blocks until every mutation acknowledged before the
-       call is durable — the pipeline's fsync.}}
+       call is durable — the pipeline's fsync.}
+    {- After a commit has released its waiters, the daemon runs the
+       optional background [step] (for {!Hfad.Fs}, one bounded index
+       drain and its seal) one call at a time, checking for a due commit
+       between calls, until a call declines. A barrier that arrives
+       during a step waits at most for that step. A step that raises
+       counts as declining: it is not the sticky commit failure, and the
+       next step waits for the next commit.}}
 
     The commit closure is always invoked {e without} the flusher's own
     mutex held, so it is free to take the stack's {!Hfad_util.Rwlock}
@@ -42,6 +49,7 @@ type t
 val create :
   ?batch_max_pages:int ->
   ?batch_max_age:float ->
+  ?step:(unit -> bool) ->
   dirty_count:(unit -> int) ->
   commit:(unit -> (unit, Hfad_osd.Osd.error) result) ->
   unit ->
@@ -52,7 +60,9 @@ val create :
     currently acknowledged mutation durable and is never invoked
     concurrently with itself. [batch_max_pages] (default 256) and
     [batch_max_age] (default 10 ms) are the flush triggers; either alone
-    suffices. *)
+    suffices. [step] is background work, called by the daemon thread
+    (never concurrently with [commit]) after a commit; it returns
+    whether to be called again (default: none). *)
 
 val start : t -> unit
 (** Spawn the daemon thread, and the pipe it sleeps on. No-op if

@@ -443,28 +443,56 @@ let find_pre s chain =
 
 (* --- content indexing ---------------------------------------------------- *)
 
-(* A content mutation only marks its object; {!Index_store.drain}
-   reindexes it later from its current bytes. *)
+(* A content mutation only marks its object (a durable mark: a key that
+   seals with the mutation); {!Index_store.drain} reindexes it later
+   from its current bytes. *)
 let mark t sh l =
   if t.config.Config.index_mode <> Off then Index_store.mark_dirty sh.s_index l
 
+let unfit sh = Index_store.unfit sh.s_index > 0
+
+(* A shard with nothing to drain takes no exclusive lock. A document too
+   large to index is reported once every shard has drained. *)
 let drain_index t =
-  Array.iter (fun sh -> ignore (Index_store.drain sh.s_index)) t.shards
+  Array.iter
+    (fun sh ->
+      if Index_store.pending sh.s_index > 0 then ignore (Index_store.drain sh.s_index))
+    t.shards;
+  if Array.exists unfit t.shards then raise (Pager.Cache_full Pager.Dirty_no_steal)
 
 let index_backlog t =
   Array.fold_left (fun acc sh -> acc + Index_store.backlog sh.s_index) 0 t.shards
 
 (* --- durability ---------------------------------------------------------- *)
 
-(* One group commit on ONE shard: everything that shard's stack has
-   mutated so far — queued content indexing included — becomes durable
-   in a single journaled checkpoint. Shards are independent durability
-   domains: each has its own journal and its own daemon, and a global
-   sync is simply every shard reaching its own durability point. *)
-let group_commit_shard sh =
+(* The one seal of ONE shard: everything that shard's stack has mutated
+   so far, durable marks included, becomes durable in a single journaled
+   checkpoint under the exclusive side. It indexes nothing. Shards are
+   independent durability domains: each has its own journal and its own
+   daemon, and a global sync is simply every shard reaching its own
+   durability point. *)
+let seal sh = Osd.flush_exn sh.s_osd
+
+(* [`Checkpoint]: drain, then seal, in one exclusive section. A document
+   too large to index does not hold the seal back (nothing of it was
+   written); it is reported after. *)
+let checkpoint_shard sh =
   shard_exclusive sh (fun () ->
       ignore (Index_store.drain sh.s_index);
-      Osd.flush_exn sh.s_osd)
+      seal sh);
+  if unfit sh then raise (Pager.Cache_full Pager.Dirty_no_steal)
+
+(* The pipeline daemon's background indexing (§3.4): once the shard's
+   backlog holds a whole drain chunk, drain one chunk and seal it. A
+   step that fails leaves its marks for the next step, a SEARCH or a
+   checkpoint. *)
+let drain_step sh () =
+  Index_store.pending sh.s_index >= Index_store.drain_chunk
+  && Result.is_ok
+       (Osd.guard (fun () ->
+            shard_exclusive sh (fun () ->
+                ignore (Index_store.drain ~max_items:Index_store.drain_chunk sh.s_index);
+                seal sh)))
 
 let publish_shard_gauges sh =
   match (sh.sm, sh.s_flusher) with
@@ -477,12 +505,12 @@ let publish_shard_gauges sh =
 
 (* Called at the tail of every mutation, still inside the owning shard's
    exclusive section. Pipelined: acknowledge into that shard's daemon
-   batch. [sync_writes]: checkpoint the shard before the mutation even
+   batch. [sync_writes]: seal the shard before the mutation even
    returns. Neither: durability waits for an explicit sync. *)
 let note_write t sh =
   match sh.s_flusher with
   | Some fl when Flusher.running fl -> Flusher.note_mutation fl
-  | _ -> if t.config.Config.sync_writes then group_commit_shard sh
+  | _ -> if t.config.Config.sync_writes then seal sh
 
 (* Every mutation runs its body through here: count it on shard [s],
    open the route span, report OIDs in errors globally, and hold the
@@ -519,9 +547,12 @@ let in_shard t s f =
    reversing the op and returns the undo. {!commit} runs those thunks
    only for plans of two or more ops; a one-op plan passes [ignore], so
    it reads nothing. An op that fails after handing over its thunk is
-   undone too, so its undo must cope with it half applied. The result
-   is whether an [Unname]/[Rename] removed the old name (the [unname]
-   API's boolean); other ops report [false]. *)
+   undone too, so its undo must cope with it half applied. An op that
+   changes bytes marks its object before it changes them: a mark left
+   by an op that then fails costs one reindex, where a missing one
+   would leave the index stale. The result is whether an
+   [Unname]/[Rename] removed the old name (the [unname] API's boolean);
+   other ops report [false]. *)
 let apply_op t sh ~keep op =
   let g = Op.target op in
   let l = Router.to_local t.router g in
@@ -537,8 +568,8 @@ let apply_op t sh ~keep op =
       ignore (Osd.create_object ?meta ~oid:l sh.s_osd);
       List.iter (fun (tag, value) -> Index_store.add sh.s_index l tag value) names;
       if content <> "" then begin
-        Osd.write sh.s_osd l ~off:0 content;
-        mark t sh l
+        mark t sh l;
+        Osd.write sh.s_osd l ~off:0 content
       end;
       false
   | Op.Write { off; data; _ } ->
@@ -553,15 +584,15 @@ let apply_op t sh ~keep op =
           fun () ->
             Osd.truncate sh.s_osd l old_size;
             if overlap <> "" then Osd.write sh.s_osd l ~off overlap);
-      Osd.write sh.s_osd l ~off data;
       mark t sh l;
+      Osd.write sh.s_osd l ~off data;
       false
   | Op.Append { data; _ } ->
       keep (fun () ->
           let old_size = Osd.size sh.s_osd l in
           fun () -> Osd.truncate sh.s_osd l old_size);
-      Osd.append sh.s_osd l data;
       mark t sh l;
+      Osd.append sh.s_osd l data;
       false
   | Op.Truncate { size; _ } ->
       keep (fun () ->
@@ -574,8 +605,8 @@ let apply_op t sh ~keep op =
           fun () ->
             Osd.truncate sh.s_osd l old_size;
             if tail <> "" then Osd.write sh.s_osd l ~off:size tail);
-      Osd.truncate sh.s_osd l size;
       mark t sh l;
+      Osd.truncate sh.s_osd l size;
       false
   | Op.Insert { off; data; _ } ->
       (* Past the end, an insert zero-fills up to [off] first. *)
@@ -585,8 +616,8 @@ let apply_op t sh ~keep op =
             if off < old_size then
               Osd.remove_bytes sh.s_osd l ~off ~len:(String.length data)
             else Osd.truncate sh.s_osd l old_size);
-      Osd.insert sh.s_osd l ~off data;
       mark t sh l;
+      Osd.insert sh.s_osd l ~off data;
       false
   | Op.Remove_bytes { off; len; _ } ->
       (* Removal clamps at the end, and inserting nothing past the end
@@ -594,8 +625,8 @@ let apply_op t sh ~keep op =
       keep (fun () ->
           let removed = Osd.read sh.s_osd l ~off ~len in
           fun () -> if removed <> "" then Osd.insert sh.s_osd l ~off removed);
-      Osd.remove_bytes sh.s_osd l ~off ~len;
       mark t sh l;
+      Osd.remove_bytes sh.s_osd l ~off ~len;
       false
   | Op.Delete _ ->
       keep (fun () ->
@@ -644,26 +675,28 @@ let apply_op t sh ~keep op =
 let barrier_shard sh =
   match sh.s_flusher with
   | Some fl when Flusher.running fl -> Flusher.barrier fl
-  | _ -> Osd.guard (fun () -> group_commit_shard sh)
+  | _ -> Osd.guard (fun () -> seal sh)
 
-(* The one durability entry point. A barrier makes every shard durable:
-   it visits shards in order, reports the first failure but still
-   barriers the rest — one sick shard must not leave the others'
-   acknowledged writes hanging. *)
+(* The one durability entry point. A sync makes every shard durable: it
+   visits shards in order, reports the first failure but still syncs
+   the rest — one sick shard must not leave the others' acknowledged
+   writes hanging. Only a checkpoint drains. *)
 let sync ?(mode = `Barrier) t =
-  match mode with
-  | `Checkpoint -> Osd.guard (fun () -> Array.iter group_commit_shard t.shards)
-  | `Barrier ->
-      let r =
-        Array.fold_left
-          (fun acc sh ->
-            match barrier_shard sh with
-            | Ok () -> acc
-            | Error _ as e -> ( match acc with Ok () -> e | _ -> acc))
-          (Ok ()) t.shards
-      in
-      Array.iter publish_shard_gauges t.shards;
-      r
+  let sync_shard =
+    match mode with
+    | `Checkpoint -> fun sh -> Osd.guard (fun () -> checkpoint_shard sh)
+    | `Barrier -> barrier_shard
+  in
+  let r =
+    Array.fold_left
+      (fun acc sh ->
+        match sync_shard sh with
+        | Ok () -> acc
+        | Error _ as e -> ( match acc with Ok () -> e | _ -> acc))
+      (Ok ()) t.shards
+  in
+  Array.iter publish_shard_gauges t.shards;
+  r
 
 let sync_exn ?(mode = `Barrier) t =
   match sync ~mode t with Ok () -> () | Error e -> Osd.raise_error e
@@ -680,8 +713,9 @@ let start_pipeline t =
                 Flusher.create
                   ~batch_max_pages:t.config.Config.batch_max_pages
                   ~batch_max_age:t.config.Config.batch_max_age
+                  ~step:(drain_step sh)
                   ~dirty_count:(fun () -> Pager.dirty_count (Osd.pager sh.s_osd))
-                  ~commit:(fun () -> Osd.guard (fun () -> group_commit_shard sh))
+                  ~commit:(fun () -> Osd.guard (fun () -> seal sh))
                   ()
               in
               sh.s_flusher <- Some fl;
@@ -770,8 +804,10 @@ let place t names =
      are rejected at staging time instead;
    - a plan whose estimated dirty set cannot fit the journal in one
      commit is refused, and a shard already carrying enough dirty pages
-     to overflow alongside the plan is checkpointed first, so the plan's
-     own checkpoint is never phase-split. *)
+     to pass one journal commit or its dirty budget ({!Osd.dirty_budget},
+     half the cache) alongside the plan is sealed first, so the plan
+     neither has its own checkpoint phase-split nor fills the NO-STEAL
+     cache part-way. *)
 
 type txn = {
   tx_fs : t;
@@ -831,15 +867,23 @@ let validate_ops t sh ops =
       | Op.Rename { oid; _ } -> require oid "rename")
     ops
 
+(* Does the op change an object's bytes, and so mark it? *)
+let marks = function
+  | Op.Create { content; _ } -> content <> ""
+  | Op.Write _ | Op.Append _ | Op.Truncate _ | Op.Insert _ | Op.Remove_bytes _ -> true
+  | Op.Delete _ | Op.Name _ | Op.Unname _ | Op.Rename _ -> false
+
 (* Rough upper bound on the pages a plan dirties — data pages plus a
-   fixed allowance per op for B-tree, master and index churn. Heuristic:
-   it sizes the pre-flush decision and refuses plans that could never
-   seal in one chain; it is not a guarantee (a pathological index drain
-   can still outgrow the journal, in which case the checkpoint
-   phase-splits). *)
+   fixed allowance per op for B-tree, master and index churn, and the
+   leaf of the plan's durable marks. Heuristic: it sizes the pre-seal
+   decision and refuses plans that could never seal in one chain; it is
+   not a guarantee. *)
 let estimate_pages t ops =
   let bs = Device.block_size t.dev in
   let data_pages n = ((n + bs - 1) / bs) + 1 in
+  let mark_page =
+    if t.config.Config.index_mode <> Off && List.exists marks ops then 1 else 0
+  in
   List.fold_left
     (fun acc op ->
       acc
@@ -854,7 +898,7 @@ let estimate_pages t ops =
       | Op.Delete _ -> 8
       | Op.Name _ | Op.Unname _ -> 4
       | Op.Rename _ -> 6)
-    4 ops
+    (4 + mark_page) ops
 
 (* Commit a non-empty plan on the shard of its first op and return what
    its last op reports. A plan of two or more ops is validated first,
@@ -874,10 +918,12 @@ let commit t ops =
     if est > cap then
       reject "plan of %d ops (~%d pages) exceeds journal capacity (%d pages)"
         (List.length ops) est cap;
-    if Pager.dirty_count (Osd.pager sh.s_osd) + est > cap then
-      (* Checkpoint what's already pending so the plan's own commit gets
-         a sealed chain to itself. *)
-      group_commit_shard sh
+    if Pager.dirty_count (Osd.pager sh.s_osd) + est > min cap (Osd.dirty_budget sh.s_osd)
+    then
+      (* Seal what's already pending, in the writer's thread, so the
+         plan applies into a cache with room for it and its own commit
+         gets a sealed chain to itself. *)
+      seal sh
   end;
   let undos = ref [] in
   let keep =

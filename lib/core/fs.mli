@@ -17,10 +17,14 @@
     {- {b Access}: POSIX-shaped {!read}/{!write} plus the hFAD
        extensions {!insert} and {!remove_bytes} (§3.1.2).}
     {- {b Content indexing}: the full-text index is a view of each
-       object's current bytes. A mutation only marks its object; a
-       drain reindexes every marked object once, from what it holds
-       then (§3.4's lazy indexing). {!drain_index} drains now; the
-       write pipeline's daemon drains at each group commit.}}
+       object's current bytes. A mutation only marks its object, and the
+       mark is durable: a key sealed with the mutation. A drain
+       reindexes every marked object once, from what it holds then
+       (§3.4's lazy indexing), in chunks bounded by the cache. No seal
+       drains: {!drain_index} and a [`Checkpoint] {!sync} drain now, the
+       write pipeline's daemon drains in the background once a shard's
+       backlog fills a chunk, and the wire server drains before each
+       SEARCH.}}
 
     {b Durability model.} Mutations update the in-memory stack and
     return; they become durable at a {e durability point} — an explicit
@@ -84,10 +88,14 @@ type index_mode =
   | Eager
       (** every mutation drains its shard's marks before it returns, so
           content is searchable the instant it returns — also after a
-          transaction rolls back *)
+          transaction rolls back. A document too large to index within
+          the cache is the exception: the mutation succeeds, and the
+          document stays marked ({!drain_index}) *)
   | Lazy
-      (** content is stale until the next drain or group commit
-          (default; §3.4) *)
+      (** content is stale until the next drain (default; §3.4): a
+          {!drain_index}, a [`Checkpoint] {!sync}, the pipeline daemon's
+          background step once the backlog holds a whole chunk, or a
+          wire SEARCH; a group commit seals the marks, not the index *)
   | Off    (** content never indexed (naming by attributes/ID only) *)
 
 (** {1 Errors} *)
@@ -231,7 +239,8 @@ val open_existing :
 val open_existing_exn : ?config:Config.t -> Hfad_blockdev.Device.t -> t
 
 val close : t -> unit
-(** Stop the pipeline (final group commit of everything acknowledged),
+(** Stop the pipeline (final group commit of everything acknowledged; it
+    seals marks, and indexes nothing),
     release each shard's pooled metrics prefix, and — on a sharded stack
     — the [fs<k>] prefix, purging the per-instance counter families from
     the global registry. Open/close cycles therefore do not leak
@@ -295,16 +304,25 @@ val sync : ?mode:[ `Barrier | `Checkpoint ] -> t -> (unit, error) result
     [`Barrier] (the default) is fsync semantics: returns [Ok ()] only
     once every mutation acknowledged before this call is durable {e on
     every shard}. With the pipeline running this hands each shard's
-    batch to its daemon and blocks for the commits; otherwise it
-    degenerates to [`Checkpoint]. [Error] carries the first failing
-    shard's commit error (sticky while that pipeline is up — a failed
-    daemon fails every subsequent barrier until {!start_pipeline}); the
-    remaining shards are still barriered.
+    batch to its daemon and blocks for the commits; otherwise it seals
+    each shard in the caller's thread. [Error] carries the first failing
+    shard's error (sticky while that pipeline is up — a failed daemon
+    fails every subsequent barrier until {!start_pipeline}); either
+    mode still syncs the remaining shards.
 
-    [`Checkpoint] checkpoints synchronously and unconditionally: drain
-    the content index, then journal-commit the dirty set and
-    write it home ({!Hfad_osd.Osd.flush}) — in the caller's thread even
-    while the pipeline is up (commits serialize on the stack lock). *)
+    Every durability point but one reaches the same seal, which indexes
+    nothing: a barrier's group commit, a barrier without the pipeline,
+    [sync_writes] and the admission seal of a plan all journal-commit
+    the dirty set, durable index marks included, and write it home
+    ({!Hfad_osd.Osd.flush}).
+
+    [`Checkpoint] is the one that drains: synchronously and
+    unconditionally, it drains the content index (in bounded chunks,
+    which may seal between them), then seals — in the caller's thread
+    even while the pipeline is up (commits serialize on the stack
+    lock). [Error (Cache_full _)] when a document is too large to index
+    within the cache: the rest is drained and every shard is sealed,
+    and the document stays marked. *)
 
 val sync_exn : ?mode:[ `Barrier | `Checkpoint ] -> t -> unit
 
@@ -313,10 +331,16 @@ val start_pipeline : t -> unit
     {!stop_pipeline}, mutations are acknowledged into an in-memory batch
     and made durable in the background — when the dirty set reaches
     [batch_max_pages], when the oldest acknowledged mutation is
-    [batch_max_age] old, or at a {!sync}, whichever is first. Each
-    group commit also drains the content index, so this daemon is the
-    background thread that indexes lazily. No-op if already running or if
-    [config.sync_writes] is set (the two modes are exclusive). *)
+    [batch_max_age] old, or at a {!sync}, whichever is first. A group
+    commit seals, and does not index. After a commit has released its
+    waiters, the daemon is also §3.4's background indexing thread: while
+    a shard's backlog holds at least one drain chunk (64 objects), it
+    drains one bounded chunk and seals it, one step at a time, with a
+    due commit first between steps. A failed step leaves its marks and
+    waits for the next commit. The daemon is a systhread of the domain
+    that starts it, so nothing may depend on a step running promptly.
+    No-op if already running or if [config.sync_writes] is set (the two
+    modes are exclusive). *)
 
 val stop_pipeline : t -> unit
 (** Drain the pipeline (final group commit of everything acknowledged)
@@ -573,7 +597,13 @@ val extent_count : t -> Hfad_osd.Oid.t -> int
 
 val drain_index : t -> unit
 (** Reindex every marked object now, on every shard, from its current
-    bytes. *)
+    bytes, in bounded chunks ({!Hfad_index.Index_store.drain}); a shard
+    with nothing to drain takes no exclusive lock. The drained pages
+    ride the next seal.
+    @raise Hfad_pager.Pager.Cache_full, once every shard has drained,
+    when a document is too large to index within the cache (found now
+    or by an earlier drain, {!Hfad_index.Index_store.unfit}): it stays
+    marked until it changes. *)
 
 val index_backlog : t -> int
 (** Objects marked and not yet reindexed (staleness, measured by

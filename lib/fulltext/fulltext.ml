@@ -25,6 +25,8 @@ let forward_prefix oid = "G" ^ Oid.to_key oid
 let df_key term = "F" ^ term
 let doc_key oid = "D" ^ Oid.to_key oid
 let count_key = "N"
+let mark_prefix = "X"
+let mark_key oid = mark_prefix ^ Oid.to_key oid
 
 let encode_int v =
   let buf = Bytes.create 10 in
@@ -59,6 +61,14 @@ let rec distinct_sorted = function
   | a :: (b :: _ as rest) -> Oid.compare a b <> 0 && distinct_sorted rest
   | [ _ ] | [] -> true
 
+(* A batch: its key changes in ascending key order, each with its
+   function of the old value and the longest value it may bind ([None]:
+   it only unbinds), which {!footprint} reads. *)
+type batch = (string * (string option -> string option) * int option) list
+
+(* A varint counter is at most this long. *)
+let counter_bytes = 10
+
 (* The one write path. Each document's old terms (its forward keys, in
    term order) are merged with its new term frequencies (sorted by
    term), and only what changed becomes a key change:
@@ -69,15 +79,19 @@ let rec distinct_sorted = function
    Each term's document-frequency delta is summed over the batch, so a
    term shared by many documents gets one update, and the document
    count moves once, by what the documents' records saw: "D" keys sort
-   before "N", so their changes run first. Every change is applied in
-   one ascending pass over the tree. *)
-let index_batch t docs =
+   before "N", so their changes run first. Each document's mark goes
+   last: "X" sorts after every index key, so a pass that raises has
+   not yet unbound it. Every change is applied in one ascending pass
+   over the tree. *)
+let prepare t docs =
   locked t @@ fun () ->
   if not (distinct_sorted (List.sort Oid.compare (List.map fst docs))) then
-    invalid_arg "Fulltext.index_batch: an OID is listed twice";
+    invalid_arg "Fulltext.prepare: an OID is listed twice";
   let changes = ref [] in
-  let change key f = changes := (key, f) :: !changes in
+  let change key bound f = changes := (key, f, bound) :: !changes in
   let set value _ = value in
+  let bind key value = change key (Some (String.length value)) (set (Some value)) in
+  let unbind key = change key None (set None) in
   let df = Hashtbl.create 64 in
   let df_delta term d =
     Hashtbl.replace df term (d + Option.value ~default:0 (Hashtbl.find_opt df term))
@@ -88,12 +102,12 @@ let index_batch t docs =
       match text with Some text -> Tokenizer.term_frequencies text | None -> []
     in
     let drop term =
-      change (postings_key term oid) (set None);
-      change (forward_key oid term) (set None);
+      unbind (postings_key term oid);
+      unbind (forward_key oid term);
       df_delta term (-1)
     and add (term, tf) =
-      change (postings_key term oid) (set (Some (encode_int tf)));
-      change (forward_key oid term) (set (Some ""));
+      bind (postings_key term oid) (encode_int tf);
+      bind (forward_key oid term) "";
       df_delta term 1
     in
     let rec merge olds news =
@@ -105,7 +119,7 @@ let index_batch t docs =
           if c < 0 then (drop o; merge olds' news)
           else if c > 0 then (add nt; merge olds news')
           else begin
-            change (postings_key n oid) (set (Some (encode_int tf)));
+            bind (postings_key n oid) (encode_int tf);
             merge olds' news'
           end
     in
@@ -115,20 +129,31 @@ let index_batch t docs =
         (fun _ -> encode_int (List.fold_left (fun acc (_, n) -> acc + n) 0 news))
         text
     in
-    change (doc_key oid) (fun old ->
+    change (doc_key oid) (Some counter_bytes) (fun old ->
         (match (old, record) with
         | None, Some _ -> incr docs_delta
         | Some _, None -> decr docs_delta
         | None, None | Some _, Some _ -> ());
-        record)
+        record);
+    unbind (mark_key oid)
   in
   List.iter document docs;
+  let counter_change key f = change key (Some counter_bytes) f in
   Hashtbl.iter
-    (fun term d -> if d <> 0 then change (df_key term) (counter (df_key term) d))
+    (fun term d -> if d <> 0 then counter_change (df_key term) (counter (df_key term) d))
     df;
-  change count_key (fun old -> counter count_key !docs_delta old);
-  Btree.apply_sorted t.tree
-    (List.sort (fun (a, _) (b, _) -> String.compare a b) !changes)
+  counter_change count_key (fun old -> counter count_key !docs_delta old);
+  List.sort (fun (a, _, _) (b, _, _) -> String.compare a b) !changes
+
+let footprint t (batch : batch) =
+  locked t (fun () ->
+      Btree.footprint t.tree (List.map (fun (key, _, bound) -> (key, bound)) batch))
+
+let apply t (batch : batch) =
+  locked t (fun () ->
+      Btree.apply_sorted t.tree (List.map (fun (key, f, _) -> (key, f)) batch))
+
+let index_batch t docs = apply t (prepare t docs)
 
 let add_document t oid text = index_batch t [ (oid, Some text) ]
 let remove_document t oid = index_batch t [ (oid, None) ]
@@ -140,6 +165,16 @@ let doc_count t =
       match Btree.find t.tree count_key with
       | Some v -> decode_int v
       | None -> 0)
+
+(* --- marks -------------------------------------------------------------------- *)
+
+let mark t oid = locked t (fun () -> Btree.put t.tree ~key:(mark_key oid) ~value:"")
+
+let marked t =
+  locked t (fun () ->
+      Btree.fold_prefix t.tree ~prefix:mark_prefix ~init:[] (fun acc k _ ->
+          Oid.of_key (String.sub k 1 8) :: acc)
+      |> List.rev)
 
 (* --- queries ------------------------------------------------------------------ *)
 

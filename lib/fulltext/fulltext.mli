@@ -15,6 +15,8 @@
     - ["F" term]              → varint document frequency
     - ["D" oid8]              → varint token count of the document
     - ["N"]                   → varint number of documents
+    - ["X" oid8]              → empty                    (a mark: the
+      document's bytes changed since it was last indexed; see {!mark})
 
     A postings scan ([fold_prefix] on ["P" term '\000']) yields OIDs in
     ascending order because the OID encoding is order-preserving, so
@@ -36,14 +38,33 @@ val create : Hfad_btree.Btree.t -> t
 
 (** {1 Indexing}
 
-    One write path: {!index_batch}. {!add_document} and
+    One write path: a batch, {!prepare}d and then {!apply}d.
+    {!index_batch} is the two in one call, and {!add_document} and
     {!remove_document} are batches of one. *)
+
+type batch
+(** The sorted key changes that bring a list of documents up to date. *)
+
+val prepare : t -> (Hfad_osd.Oid.t * string option) list -> batch
+(** [prepare t docs] computes the key changes of {!index_batch}[ t docs]
+    and writes nothing: it reads each document's forward keys. The
+    batch must be applied once, with no other write to the index
+    between the two calls (inside hFAD, the shard's exclusive section
+    spans both). *)
+
+val footprint : t -> batch -> int
+(** An estimate, erring high, of the pages {!apply} would dirty,
+    counted read-only ({!Hfad_btree.Btree.footprint}). *)
+
+val apply : t -> batch -> unit
+(** Apply a prepared batch in one ascending pass over the tree. *)
 
 val index_batch : t -> (Hfad_osd.Oid.t * string option) list -> unit
 (** [index_batch t docs] brings every listed document up to date:
     [Some text] indexes (or reindexes) the document as [text], and
-    [None] unindexes it (a no-op for an OID that is not indexed). The
-    OIDs must be distinct ([Invalid_argument] otherwise).
+    [None] unindexes it (a no-op for an OID that is not indexed). Either
+    way the document's mark is unbound. The OIDs must be distinct
+    ([Invalid_argument] otherwise).
 
     The index keeps no copy of a text, so a document's old terms come
     from its forward keys. They are merged, in term order, with the new
@@ -62,6 +83,9 @@ val index_batch : t -> (Hfad_osd.Oid.t * string option) list -> unit
     leaf once per run of keys in it and writes no binding whose value
     does not change.
 
+    The marks sort after every index key, so they are unbound last: a
+    pass that raises part-way leaves every mark of the batch bound.
+
     The resulting bindings are exactly those of removing each document
     and indexing it afresh, and re-indexing unchanged texts writes
     nothing.
@@ -73,6 +97,20 @@ val add_document : t -> Hfad_osd.Oid.t -> string -> unit
 
 val remove_document : t -> Hfad_osd.Oid.t -> unit
 (** [remove_document t oid] is [index_batch t [(oid, None)]]. *)
+
+(** {1 Marks}
+
+    A mark records, in the index's own tree, that a document's bytes
+    changed since it was last indexed: {!Hfad_index.Index_store} binds
+    one when it first marks an object, so the seal that carries the
+    change carries its mark, and a reopened index reads its backlog back
+    with {!marked}. Only {!index_batch} (and {!apply}) unbinds one. *)
+
+val mark : t -> Hfad_osd.Oid.t -> unit
+(** Bind the document's mark. *)
+
+val marked : t -> Hfad_osd.Oid.t list
+(** Every marked document, ascending OID order: one prefix scan. *)
 
 val is_indexed : t -> Hfad_osd.Oid.t -> bool
 val doc_count : t -> int

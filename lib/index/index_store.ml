@@ -4,6 +4,7 @@ module Meta = Hfad_osd.Meta
 module Btree = Hfad_btree.Btree
 module Fulltext = Hfad_fulltext.Fulltext
 module Oid_set = Set.Make (Oid)
+module Pager = Hfad_pager.Pager
 module Registry = Hfad_metrics.Registry
 module Counter = Hfad_metrics.Counter
 module Rwlock = Hfad_util.Rwlock
@@ -17,7 +18,12 @@ type t = {
   fulltext : Fulltext.t;
   mutable dirty : Oid_set.t;
       (* Objects whose content changed since their last reindex; read
-         and written under [lock]. *)
+         and written under [lock]. Each also has a mark key in the
+         full-text tree, so the set survives a reopen. *)
+  mutable unfit : Oid_set.t;
+      (* The marked objects a drain found too large to index within the
+         dirty budget; drains pass over them until they change again.
+         Under [lock]. *)
   kv : (string, Kv_index.t) Hashtbl.t;
       (* One slice per namespace: every namespace the attrs tree held at
          open, plus each one named since. *)
@@ -46,7 +52,8 @@ let create osd =
     osd;
     attrs;
     fulltext;
-    dirty = Oid_set.empty;
+    dirty = Oid_set.of_list (Fulltext.marked fulltext);
+    unfit = Oid_set.empty;
     kv;
     kv_mutex = Mutex.create ();
     lock = Osd.rwlock osd;
@@ -111,11 +118,25 @@ let values_of t oid =
    mutation only marks its object; a drain recomputes each marked
    object's postings from what the object holds at that moment, so k
    mutations before a drain cost one reindex, and a drain can never
-   bring back the postings of a deleted object. *)
+   bring back the postings of a deleted object. The first mark also
+   binds the object's mark key, inside the mutation's exclusive section,
+   so the seal that carries the mutation carries its mark. Changed
+   bytes may fit where the old ones did not. *)
 let mark_dirty t oid =
-  exclusive t (fun () -> t.dirty <- Oid_set.add oid t.dirty)
+  exclusive t (fun () ->
+      t.unfit <- Oid_set.remove oid t.unfit;
+      if not (Oid_set.mem oid t.dirty) then begin
+        t.dirty <- Oid_set.add oid t.dirty;
+        Fulltext.mark t.fulltext oid
+      end)
 
 let backlog t = shared t (fun () -> Oid_set.cardinal t.dirty)
+let unfit t = shared t (fun () -> Oid_set.cardinal t.unfit)
+
+(* [unfit] is a subset of [dirty]: a drain adds only marked objects to
+   it, and whatever unmarks an object takes it out. *)
+let pending t =
+  shared t (fun () -> Oid_set.cardinal t.dirty - Oid_set.cardinal t.unfit)
 
 (* One metadata lookup decides: a regular object is indexed from its
    bytes; a deleted object, a directory or a symlink loses its postings. *)
@@ -126,33 +147,81 @@ let content t oid =
   | (exception Osd.No_such_object _) ->
       None
 
-(* Documents per [Fulltext.index_batch] call. A large backlog is applied
-   in chunks of this many, so a drain holds at most this many texts and
-   their key changes at once. *)
+(* A large backlog is applied in chunks of at most [drain_chunk]
+   documents, and a chunk takes no further document once its texts
+   reach [drain_chunk_bytes], so a drain holds a bounded set of texts
+   and key changes at once. *)
 let drain_chunk = 64
+let drain_chunk_bytes = 32 * 1024
+
+(* The next chunk from [oids], with each document's content. *)
+let rec take_chunk t oids ~room ~bytes =
+  if room <= 0 || bytes >= drain_chunk_bytes then []
+  else
+    match oids () with
+    | Seq.Nil -> []
+    | Seq.Cons (oid, rest) ->
+        let text = content t oid in
+        let bytes = bytes + Option.fold ~none:0 ~some:String.length text in
+        (oid, text) :: take_chunk t rest ~room:(room - 1) ~bytes
+
+let unmark t docs =
+  t.dirty <- List.fold_left (fun dirty (oid, _) -> Oid_set.remove oid dirty) t.dirty docs
+
+(* [docs] cut into [n] runs of near-equal length, in order. *)
+let cut docs n =
+  let len = List.length docs in
+  List.init n (fun k ->
+      List.filteri (fun i _ -> i * n / len = k) docs)
+  |> List.filter (fun run -> run <> [])
+
+(* Index [docs] in one sorted pass, unless its footprint could push the
+   dirty set past [fit] (the dirty budget, or one journal commit if that
+   is smaller): then seal first, or, for several documents that would
+   pass [fit] on their own, cut them into runs sized to fit and index
+   each in turn. A single document may pass one journal commit (its seal
+   then splits into phases) but not the budget. Returns the OIDs of
+   documents too large to index even alone; they stay marked, and
+   nothing of theirs is written. *)
+let rec index_docs t docs =
+  let batch = Fulltext.prepare t.fulltext docs in
+  let budget = Osd.dirty_budget t.osd in
+  let pages = if budget = max_int then 0 else Fulltext.footprint t.fulltext batch in
+  let fit = max 1 (min budget (Osd.journal_capacity_pages t.osd)) in
+  match docs with
+  | [ (oid, _) ] when pages > budget -> [ oid ]
+  | _ :: _ :: _ when pages > fit ->
+      List.concat_map (index_docs t)
+        (cut docs (min (List.length docs) ((pages / fit) + 2)))
+  | _ ->
+      if Pager.dirty_count (Osd.pager t.osd) + pages > fit then Osd.flush_exn t.osd;
+      Fulltext.apply t.fulltext batch;
+      unmark t docs;
+      []
 
 (* Ascending OID order: postings keys end in the OID, so a bulk load
    appends each term's new postings at the right edge of its key range.
    A chunk is unmarked only after it applies, so a chunk that raises
-   stays marked. *)
+   stays marked. A document that cannot fit joins [unfit] and is passed
+   over from then on. *)
 let drain ?(max_items = max_int) t =
   exclusive t @@ fun () ->
-  let rec go n =
+  let rec go n tried =
     let chunk =
-      if n >= max_items then []
-      else
-        Oid_set.to_seq t.dirty
-        |> Seq.take (min drain_chunk (max_items - n))
-        |> List.of_seq
+      take_chunk t
+        (Oid_set.to_seq (Oid_set.diff t.dirty t.unfit))
+        ~room:(min drain_chunk (max_items - tried))
+        ~bytes:0
     in
     if chunk = [] then n
     else begin
-      Fulltext.index_batch t.fulltext (List.map (fun oid -> (oid, content t oid)) chunk);
-      t.dirty <- List.fold_left (fun dirty oid -> Oid_set.remove oid dirty) t.dirty chunk;
-      go (n + List.length chunk)
+      let failed = index_docs t chunk in
+      t.unfit <- Oid_set.union t.unfit (Oid_set.of_list failed);
+      let k = List.length chunk in
+      go (n + k - List.length failed) (tried + k)
     end
   in
-  go 0
+  go 0 0
 
 let fulltext t = t.fulltext
 
@@ -257,7 +326,9 @@ let drop_object t oid =
       List.iter
         (fun (tag, value) -> ignore (remove t oid tag value))
         (values_of t oid);
-      Fulltext.remove_document t.fulltext oid)
+      Fulltext.remove_document t.fulltext oid;
+      t.dirty <- Oid_set.remove oid t.dirty;
+      t.unfit <- Oid_set.remove oid t.unfit)
 
 let verify t =
   shared t (fun () ->

@@ -10,7 +10,9 @@
       ({!Image_index}) is one of these names, under [Custom "IMAGE"];
     - [Fulltext] → the {!Hfad_fulltext.Fulltext} inverted index, a view
       of the objects' current bytes: mutations {!mark_dirty} an object
-      and a {!drain} reindexes it (lazily, per §3.4);
+      and a {!drain} reindexes it (lazily, per §3.4). The marks are
+      durable: each is a key in the full-text tree, sealed with the
+      mutation that made it;
     - [Id] → no index at all: the value {e is} the OID (Table 1's
       fast path).
 
@@ -41,7 +43,10 @@ type t
 
 val create : Hfad_osd.Osd.t -> t
 (** Open (or bootstrap) the index stores of an OSD, registering every
-    namespace of its attribute tree (one B-tree seek each). *)
+    namespace of its attribute tree (one B-tree seek each), and load the
+    marks the full-text tree holds into the backlog (one prefix scan):
+    a reopened image knows what it still has to index. Writes
+    nothing. *)
 
 exception Unsupported_tag of Tag.t
 (** Raised when a tag cannot back the requested operation (e.g. [add]
@@ -70,11 +75,25 @@ val values_of : t -> Hfad_osd.Oid.t -> (Tag.t * string) list
 
 val mark_dirty : t -> Hfad_osd.Oid.t -> unit
 (** Note that the object's content changed. Reads nothing; marking an
-    object k times before a drain costs one reindex. *)
+    object k times before a drain costs one reindex. The first mark also
+    binds the object's mark key ({!Hfad_fulltext.Fulltext.mark}), so the
+    seal that makes the change durable makes its mark durable too. *)
 
 val backlog : t -> int
 (** Marked objects not yet drained (staleness, measured by experiment
-    C6). *)
+    C6), {!unfit} ones included. *)
+
+val unfit : t -> int
+(** Marked objects a {!drain} found too large to index within the
+    OSD's dirty budget. Drains pass over each until it changes again
+    ({!mark_dirty}) or is dropped; a reopened store retries them. *)
+
+val pending : t -> int
+(** What a {!drain} would take now: {!backlog} minus {!unfit}. *)
+
+val drain_chunk : int
+(** Documents per sorted pass of a {!drain} (64): a large backlog is
+    applied in chunks of this many. *)
 
 val drain : ?max_items:int -> t -> int
 (** Reindex up to [max_items] marked objects (default: all), in
@@ -82,21 +101,34 @@ val drain : ?max_items:int -> t -> int
     indexed, and a deleted object, directory or symlink has its postings
     removed. Returns how many were reindexed.
 
-    The objects go to {!Hfad_fulltext.Fulltext.index_batch} in chunks of
-    a fixed number of documents (a constant, not an option), so a large
-    backlog ([Fs.drain_index], C6's bursts) never holds more than one
-    chunk's texts and key changes. Each chunk is one sorted pass over
-    the full-text tree, and it is unmarked only after it applies: a
-    drain that raises leaves its whole chunk marked.
+    The objects go to {!Hfad_fulltext.Fulltext} in chunks of
+    {!drain_chunk} documents, so a large backlog ([Fs.drain_index],
+    C6's bursts) never holds more than one chunk's texts and key
+    changes. Each chunk is one sorted pass over the full-text tree,
+    which unbinds the chunk's marks as its last keys, and the chunk is
+    unmarked in memory only after it applies: a drain that raises leaves
+    its whole chunk marked, on the device as in memory.
 
-    A drain that fails part-way is not made safe here. A retried partial
-    drain is not idempotent: a chunk that raised may have applied some
-    of its key changes, and its summed document-frequency deltas would
-    be applied again. (Before batches, a failure between a forward-key
-    put and its frequency bump under-counted that term in the same
-    way.) What keeps a drain from failing part-way is an admission
-    check that bounds the dirty set before the drain starts, which this
-    module does not make. *)
+    {b Bounded.} A chunk never starts what it cannot finish inside the
+    OSD's {!Hfad_osd.Osd.dirty_budget}. Before it writes anything, a
+    read-only pass counts the pages it would dirty
+    ({!Hfad_fulltext.Fulltext.footprint}). If the pages already dirty
+    plus that count would pass the budget or one journal commit
+    ({!Hfad_osd.Osd.journal_capacity_pages}), the drain seals the OSD
+    first ({!Hfad_osd.Osd.flush}); a chunk of several documents that
+    would pass either from an empty dirty set is cut into runs sized
+    to fit. A single document may outgrow one journal commit (its seal
+    then splits into phases), but one that cannot fit the budget alone
+    is passed over with nothing of it written: it stays marked, counts
+    as {!unfit}, and the drain goes on with the rest. The drain never
+    raises for it; the caller reads {!unfit}. Without a journal the
+    budget is unbounded and nothing is counted.
+
+    A drain that fails part-way for another reason is not made safe
+    here: a device fault in the middle of a pass leaves the changes
+    before it applied with the chunk still marked, and a retry would
+    apply its summed document-frequency deltas again. The count keeps a
+    full cache from being such a reason. *)
 
 val fulltext : t -> Hfad_fulltext.Fulltext.t
 
@@ -129,7 +161,8 @@ val lookup_prefix : t -> Tag.t -> string -> (string * Hfad_osd.Oid.t) list
 (** {1 Maintenance} *)
 
 val drop_object : t -> Hfad_osd.Oid.t -> unit
-(** Remove every trace of an object from every index (synchronously). *)
+(** Remove every trace of an object from every index (synchronously),
+    its mark included. *)
 
 val verify : t -> unit
 (** Verify each underlying index. @raise Failure on violation. *)

@@ -131,6 +131,7 @@ type t = {
   mutable named : (string * int) list;  (* name -> root page, superblock-backed *)
   journal : Journal.t option;
   journal_blocks : int;
+  cache_pages : int;
   mutable pending_ops : int;
       (* logical ops acknowledged since the last checkpoint; stamped
          into the next journal seal's [ops] annotation *)
@@ -266,6 +267,7 @@ let mk_t (config : Config.t) dev ~fresh =
     named = [];
     journal;
     journal_blocks = journal_pages;
+    cache_pages;
     pending_ops = 0;
     max_extent_bytes = max_extent_pages * Device.block_size dev;
     block_size = Device.block_size dev;
@@ -350,6 +352,10 @@ let journal_sequence t =
 
 let journal_capacity_pages t =
   match t.journal with Some j -> Journal.capacity_pages j | None -> 0
+
+(* Half the frames leaves the other half for what an estimate misses and
+   for clean pages to read through. *)
+let dirty_budget t = if Option.is_some t.journal then t.cache_pages / 2 else max_int
 
 (* --- object handles ----------------------------------------------------- *)
 

@@ -187,6 +187,16 @@ val journal_capacity_pages : t -> int
 (** Pages one journal commit can carry (0 when not journaled); a dirty
     set beyond this makes {!flush} split into multiple phases. *)
 
+val dirty_budget : t -> int
+(** The dirty pages a checkpoint interval may gather on a journaled OSD:
+    half the cache frames (NO-STEAL keeps every dirty frame resident
+    until the next {!flush}). Unbounded ([max_int]) without a journal,
+    where the cache writes dirty pages back at will. A fixed fraction,
+    not an option: the file system's admission check and the index's
+    bounded drains seal before they would pass it, and, to keep their
+    seals in one journal commit, before they would pass
+    {!journal_capacity_pages} too. *)
+
 val device : t -> Hfad_blockdev.Device.t
 val pager : t -> Hfad_pager.Pager.t
 val allocator : t -> Hfad_alloc.Buddy.t

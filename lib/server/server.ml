@@ -13,6 +13,7 @@
 
 module Fs = Hfad.Fs
 module Tag = Hfad_index.Tag
+module Index_store = Hfad_index.Index_store
 module Oid = Hfad_osd.Oid
 module Trace = Hfad_trace.Trace
 module Registry = Hfad_metrics.Registry
@@ -311,6 +312,7 @@ let stats t : Wire.Stats.t =
           dirty_pages = Pager.dirty_count pager;
           resident_pages = occ.Pager.a1in + occ.Pager.am;
           cache_pages;
+          backlog = Index_store.backlog (Fs.index_of_shard t.fs i);
         })
   in
   let slow =
@@ -378,6 +380,9 @@ let rec execute t (req : Wire.request) :
             | Some oid -> Wire.Ok_data (Fs.read_all t.fs oid))
     | Wire.Search { query } ->
         read (fun () ->
+            (* Read-your-writes at the wire: index every acked PUT
+               first. [Fs.search] itself stays lazy. *)
+            Fs.drain_index t.fs;
             Wire.Ok_hits
               (List.map
                  (fun (oid, score) -> (Oid.to_int64 oid, score))

@@ -7,7 +7,12 @@
     runs a read → execute → commit → reply loop:
 
     + drain every readable connection, decoding complete frames;
-    + answer reads ([Ping]/[Get]/[Search]/[Stat]) immediately;
+    + answer reads ([Ping]/[Get]/[Search]/[Stat]) immediately. A
+      [Search] first drains the index backlog of every shard that has
+      one ({!Hfad.Fs.drain_index}), so it sees every acked PUT: a group
+      commit seals marks, not the index. [Hfad.Fs.search] itself stays
+      lazy. A shard holding a document too large to index answers a
+      typed [Err];
     + apply mutations ([Put]/[Delete]/[Tag]/[Multi]) to the [Fs], each
       as one {!Hfad.Fs.with_txn} plan, so no reader sees half of one —
       each is {e acknowledged} into the write pipeline but its reply is
@@ -37,7 +42,8 @@
     ([Flush] is measured as [sync]) are observed around execute; they
     are process-global, shared by every instance. The whole picture is
     remotely scrapeable: [Stats] answers a compact binary snapshot
-    ({!Wire.Stats.t}, including the slow-request log), [Metrics] the
+    ({!Wire.Stats.t}, including the slow-request log and each shard's
+    index backlog), [Metrics] the
     process's Prometheus exposition, [Trace_dump] the span ring as
     Chrome trace JSON. A request slower than [Config.slow_threshold_us]
     (measured around execute, excluding any deferred commit wait) is

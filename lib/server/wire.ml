@@ -28,6 +28,7 @@ module Stats = struct
     dirty_pages : int;
     resident_pages : int;  (* pager frames holding a page (A1in + Am) *)
     cache_pages : int;  (* pager capacity *)
+    backlog : int;  (* objects marked for reindexing, not yet drained *)
   }
 
   type t = {
@@ -259,7 +260,8 @@ let add_stats b (s : Stats.t) =
       Buffer.add_int32_be b (Int32.of_int sh.journal_capacity_pages);
       Buffer.add_int32_be b (Int32.of_int sh.dirty_pages);
       Buffer.add_int32_be b (Int32.of_int sh.resident_pages);
-      Buffer.add_int32_be b (Int32.of_int sh.cache_pages))
+      Buffer.add_int32_be b (Int32.of_int sh.cache_pages);
+      Buffer.add_int32_be b (Int32.of_int sh.backlog))
     s.shards;
   Buffer.add_uint16_be b (List.length s.slow);
   List.iter (add_str16 b) s.slow
@@ -476,13 +478,15 @@ let decode_response kind payload =
               let journal_capacity_pages = u32 payload pos in
               let dirty_pages = u32 payload pos in
               let resident_pages = u32 payload pos in
+              let cache_pages = u32 payload pos in
               {
                 shard;
                 checkpoints;
                 journal_capacity_pages;
                 dirty_pages;
                 resident_pages;
-                cache_pages = u32 payload pos;
+                cache_pages;
+                backlog = u32 payload pos;
               })
         in
         let n_slow = u16 payload pos in

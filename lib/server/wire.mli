@@ -69,6 +69,9 @@ module Stats : sig
     dirty_pages : int;
     resident_pages : int;  (** pager frames holding a page (A1in+Am) *)
     cache_pages : int;  (** pager capacity *)
+    backlog : int;
+        (** the shard's index backlog: objects marked for reindexing and
+            not yet drained (a SEARCH drains it; see {!Search}) *)
   }
 
   type t = {
@@ -123,7 +126,11 @@ type request =
   | Tag of { key : string; tag : string; value : string }
       (** attach one more [TAG/value] name (tag parsed per
           {!Hfad_index.Tag.of_string}) *)
-  | Search of { query : string }  (** ranked full-text search *)
+  | Search of { query : string }
+      (** ranked full-text search. The server first drains the index
+          backlog of every shard that has one, so a SEARCH sees every
+          acked PUT; a shard holding a document too large to index
+          answers [Err] ("cache full: ..."), never a stale hit list. *)
   | Stat of { key : string }
   | Flush  (** barrier: ack only once everything this connection was
                acked for is durable *)

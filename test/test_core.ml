@@ -321,6 +321,198 @@ let test_query_string_through_fs () =
     (Hfad_index.Query.Parse_error "unexpected end of query") (fun () ->
       ignore (Fs.query_string fs "USER/margo &"))
 
+(* --- admission against the cache budget ------------------------------- *)
+
+(* A NO-STEAL cache never wedges a writer: a loop of small named creates
+   with no sync of its own, journaled, default cache, in every index
+   mode, with and without the pipeline. Each plan seals its shard first
+   when the dirty set plus its estimate would pass the dirty budget (in
+   the writer's thread: an in-process daemon may not get to run), so no
+   create fails, and a sync and a later create succeed. *)
+let admission_vocab =
+  [| "ledger"; "harbor"; "lantern"; "meadow"; "orchard"; "quarry"; "willow";
+     "summit"; "canyon"; "river"; "forest"; "island" |]
+
+let admission_text i =
+  String.concat " "
+    (List.init 30 (fun j ->
+         admission_vocab.(((i * 7) + (j * 3)) mod Array.length admission_vocab)
+         ^ string_of_int ((i + j) mod 4)))
+
+let admission_creates = 5000
+
+let test_admission_never_wedges () =
+  List.iter
+    (fun (mode, label) ->
+      List.iter
+        (fun pipeline ->
+          let label = label ^ if pipeline then " with the pipeline" else "" in
+          let dev = Device.create ~block_size:4096 ~blocks:32768 () in
+          let fs =
+            Fs.format ~config:(Fs.Config.v ~index_mode:mode ~journal_pages:2048 ()) dev
+          in
+          if pipeline then Fs.start_pipeline fs;
+          for i = 1 to admission_creates do
+            match
+              Fs.create fs
+                ~names:[ (Tag.Udef, Printf.sprintf "a%05d" i) ]
+                ~content:(admission_text i)
+            with
+            | Ok _ -> ()
+            | Error e ->
+                Alcotest.failf "%s: create %d failed: %s" label i (Fs.error_message e)
+          done;
+          (match Fs.sync fs with
+          | Ok () -> ()
+          | Error e -> Alcotest.failf "%s: sync failed: %s" label (Fs.error_message e));
+          ignore (Fs.create_exn fs ~content:"one more create");
+          Fs.close fs)
+        [ false; true ])
+    [ (Fs.Eager, "eager"); (Fs.Lazy, "lazy"); (Fs.Off, "off") ]
+
+(* --- a document too large to index ------------------------------------- *)
+
+(* [n] five-character tokens no other text here shares. *)
+let distinct_words ~from n =
+  String.concat " " (List.init n (fun i -> Printf.sprintf "z%04x" (from + i)))
+
+(* A reindex of this many new terms passes half of a 1024-frame cache. *)
+let unfit_words = 24_000
+
+let dirty_pages fs s = Hfad_pager.Pager.dirty_count (Osd.pager (Fs.osd_of_shard fs s))
+let unfit fs s = Hfad_index.Index_store.unfit (Fs.index_of_shard fs s)
+
+let expect_cache_full what = function
+  | Error (Fs.Cache_full _) -> ()
+  | Ok () -> Alcotest.failf "%s: Ok despite an unindexable document" what
+  | Error e -> Alcotest.failf "%s: %s" what (Fs.error_message e)
+
+(* Eager mode, a small journal: a document whose reindex cannot fit the
+   dirty budget is created all the same, and stays marked. Later
+   mutations on its shard, a two-op plan among them, succeed and are
+   searchable at once; a checkpoint reports the document but seals the
+   shard; and a rewrite that makes the document small indexes it. *)
+let test_eager_unfit_document () =
+  let dev = Device.create ~block_size:4096 ~blocks:16384 () in
+  let config = Fs.Config.v ~index_mode:Fs.Eager ~journal_pages:512 () in
+  let fs = Fs.format ~config dev in
+  let big =
+    Fs.create_exn fs ~names:[ (Tag.Udef, "big") ]
+      ~content:(distinct_words ~from:0 unfit_words)
+  in
+  check Alcotest.int "the big document stays marked" 1 (unfit fs 0);
+  check (Alcotest.list oid_t) "its name is bound" [ big ]
+    (Fs.lookup fs [ (Tag.Udef, "big") ]);
+  let small = Fs.create_exn fs ~content:"a small searchable note" in
+  check (Alcotest.list oid_t) "a later create is searchable at once" [ small ]
+    (List.map fst (Fs.search fs "searchable"));
+  let pair =
+    Fs.with_txn_exn fs (fun tx ->
+        let oid = Fs.Txn.create tx ~content:"a staged pair" in
+        Fs.Txn.name tx oid Tag.Udef "pair";
+        oid)
+  in
+  check (Alcotest.list oid_t) "the plan's name" [ pair ]
+    (Fs.lookup fs [ (Tag.Udef, "pair") ]);
+  check (Alcotest.list oid_t) "the plan's content" [ pair ]
+    (List.map fst (Fs.search fs "staged"));
+  (match Fs.drain_index fs with
+  | () -> Alcotest.fail "drain_index: no error for an unindexable document"
+  | exception Hfad_pager.Pager.Cache_full _ -> ());
+  expect_cache_full "checkpoint" (Fs.sync ~mode:`Checkpoint fs);
+  check Alcotest.int "the checkpoint sealed the shard" 0 (dirty_pages fs 0);
+  let reopened = Fs.open_existing_exn ~config dev in
+  check Alcotest.int "every object is on the device" 3 (Fs.object_count reopened);
+  check Alcotest.int "with the big document's mark" 1 (Fs.index_backlog reopened);
+  Fs.truncate_exn fs big 0;
+  Fs.write_exn fs big ~off:0 "a big document made small";
+  check Alcotest.int "nothing left unindexed" 0 (Fs.index_backlog fs);
+  check (Alcotest.list oid_t) "the rewrite is searchable" [ big ]
+    (List.map fst (Fs.search fs "made"));
+  Fs.sync_exn ~mode:`Checkpoint fs;
+  Fs.verify fs;
+  Fs.close fs
+
+(* A document whose reindex outgrows one journal commit, but not the
+   dirty budget, is indexed at once all the same; its seal splits into
+   journaled phases. *)
+let test_eager_document_past_one_commit () =
+  let dev = Device.create ~block_size:4096 ~blocks:16384 () in
+  let config = Fs.Config.v ~index_mode:Fs.Eager ~journal_pages:64 () in
+  let fs = Fs.format ~config dev in
+  let doc = Fs.create_exn fs ~content:(distinct_words ~from:0 4000) in
+  check Alcotest.int "nothing unindexed" 0 (Fs.index_backlog fs);
+  check (Alcotest.list oid_t) "searchable at once" [ doc ]
+    (List.map fst (Fs.search fs "z0f9f"));
+  Fs.sync_exn ~mode:`Checkpoint fs;
+  Fs.verify fs;
+  Fs.verify (Fs.open_existing_exn dev);
+  Fs.close fs
+
+(* Two shards, an unindexable document on one: a checkpoint reports it,
+   yet drains and seals both shards. *)
+let test_checkpoint_seals_every_shard () =
+  let dev = Device.create ~block_size:4096 ~blocks:32768 () in
+  let fs = Fs.format ~config:(Fs.Config.v ~shards:2 ~journal_pages:512 ()) dev in
+  let big = Fs.create_exn fs ~content:(distinct_words ~from:0 unfit_words) in
+  let notes =
+    List.init 4 (fun i -> Fs.create_exn fs ~content:(Printf.sprintf "shard note %d" i))
+  in
+  let s = Fs.shard_of_oid fs big in
+  check Alcotest.bool "notes on both shards" true
+    (List.exists (fun oid -> Fs.shard_of_oid fs oid <> s) notes);
+  expect_cache_full "checkpoint" (Fs.sync ~mode:`Checkpoint fs);
+  for i = 0 to 1 do
+    check Alcotest.int (Printf.sprintf "shard %d sealed" i) 0 (dirty_pages fs i);
+    check Alcotest.int
+      (Printf.sprintf "shard %d unfit" i)
+      (if i = s then 1 else 0)
+      (unfit fs i)
+  done;
+  check (Alcotest.list oid_t) "every note indexed" notes
+    (List.sort Oid.compare (List.map fst (Fs.search fs "note")));
+  expect_cache_full "a second checkpoint" (Fs.sync ~mode:`Checkpoint fs);
+  Fs.delete_exn fs big;
+  Fs.sync_exn ~mode:`Checkpoint fs;
+  Fs.verify fs;
+  Fs.close fs
+
+(* --- bounded drains ------------------------------------------------------ *)
+
+(* A 96-frame cache leaves a dirty budget of 48 pages, less than one
+   drain chunk of small distinct documents dirties (a chunk takes up to
+   32 KiB of text): a drain must count a chunk's pages before it writes
+   and cut it into runs that fit, sealing between them. Both drains, the
+   one a wire SEARCH runs ([drain_index]) and a checkpoint's, succeed,
+   and every document is found. *)
+let test_drain_cut_to_fit () =
+  let dev = Device.create ~block_size:4096 ~blocks:8192 () in
+  let config = Fs.Config.v ~cache_pages:96 ~journal_pages:2048 () in
+  let fs = Fs.format ~config dev in
+  let load from =
+    List.init 24 (fun i ->
+        let from = (from + i) * 250 in
+        let oid = Fs.create_exn fs ~content:(distinct_words ~from 250) in
+        (oid, Printf.sprintf "z%04x" from))
+  in
+  let found docs =
+    List.iter
+      (fun (oid, word) ->
+        check (Alcotest.list oid_t) ("search " ^ word) [ oid ]
+          (List.map fst (Fs.search fs word)))
+      docs
+  in
+  let first = load 0 in
+  Fs.drain_index fs;
+  found first;
+  let second = load 24 in
+  Fs.sync_exn ~mode:`Checkpoint fs;
+  found second;
+  check Alcotest.int "nothing left unindexed" 0 (Fs.index_backlog fs);
+  Fs.verify fs;
+  Fs.verify (Fs.open_existing_exn ~config dev);
+  Fs.close fs
+
 let suite =
   [
     Alcotest.test_case "create with names + content" `Quick
@@ -351,4 +543,14 @@ let suite =
     Alcotest.test_case "query_string via Fs" `Quick test_query_string_through_fs;
     Alcotest.test_case "every namespace survives reopen" `Quick
       test_names_survive_reopen;
+    Alcotest.test_case "admission: small creates never wedge the cache" `Quick
+      test_admission_never_wedges;
+    Alcotest.test_case "eager: an unindexable document fails no mutation" `Quick
+      test_eager_unfit_document;
+    Alcotest.test_case "eager: a document past one journal commit is indexed" `Quick
+      test_eager_document_past_one_commit;
+    Alcotest.test_case "checkpoint: an unindexable document seals every shard" `Quick
+      test_checkpoint_seals_every_shard;
+    Alcotest.test_case "a drain cuts a chunk that passes the budget" `Quick
+      test_drain_cut_to_fit;
   ]

@@ -13,6 +13,7 @@ module Tag = Hfad_index.Tag
 module P = Hfad_posix.Posix_fs
 
 let check = Alcotest.check
+let oid_t = Alcotest.testable Oid.pp Oid.equal
 
 (* --- device checksums ---------------------------------------------------- *)
 
@@ -525,13 +526,14 @@ let test_barrier_acked_never_lost () =
 
 (* --- crash sweep over a many-document drain ----------------------------------
 
-   A lazy pipelined stack whose barrier commit drains 20 documents that
-   share common words in one sorted pass over the full-text tree. On
-   512-byte pages the pass splits postings leaves, and the checkpoint
-   journals tens of dirty frames in place. Crash at every write of that
-   commit, dropped and torn: recovery lands pre or post under
-   [Fs.verify], re-recovery lands in the same state, and a search for a
-   shared term returns exactly the pre set or exactly the post set. *)
+   A lazy stack whose checkpoint drains 20 documents that share common
+   words in one sorted pass over the full-text tree (a barrier seals
+   without draining; a checkpoint drains, then seals). On 512-byte pages
+   the pass splits postings leaves, and the checkpoint journals tens of
+   dirty frames in place. Crash at every write of that checkpoint,
+   dropped and torn: recovery lands pre or post under [Fs.verify],
+   re-recovery lands in the same state, and a search for a shared term
+   returns exactly the pre set or exactly the post set. *)
 
 let drain_places = [| "harbor"; "lantern"; "meadow"; "orchard"; "quarry"; "willow" |]
 
@@ -542,18 +544,13 @@ let drain_text i =
 let build_drain_scenario () =
   let dev = Device.create ~block_size:512 ~blocks:2048 () in
   let fs =
-    Fs.format
-      ~config:
-        (Fs.Config.v ~index_mode:Fs.Lazy ~journal_pages:256
-           ~batch_max_pages:1_000_000 ~batch_max_age:3600.0 ())
-      dev
+    Fs.format ~config:(Fs.Config.v ~index_mode:Fs.Lazy ~journal_pages:256 ()) dev
   in
-  Fs.start_pipeline fs;
   let create i = Fs.create_exn fs ~content:(drain_text i) in
   let pre = List.init 4 create in
-  (match Fs.sync fs with
+  (match Fs.sync ~mode:`Checkpoint fs with
   | Ok () -> ()
-  | Error e -> Alcotest.failf "setup barrier failed: %s" (Fs.error_message e));
+  | Error e -> Alcotest.failf "setup checkpoint failed: %s" (Fs.error_message e));
   let post = pre @ List.init 20 (fun i -> create (4 + i)) in
   (dev, fs, pre, post)
 
@@ -574,22 +571,19 @@ let sweep_drain_commit ?torn_bytes () =
   let reopen dev = Fs.open_existing_exn ~config:(Fs.Config.v ~index_mode:Fs.Lazy ()) dev in
   let total =
     let dev, fs, _, _ = build_drain_scenario () in
-    let n = count_writes dev (fun () -> Fs.sync_exn fs) in
-    Fs.stop_pipeline fs;
-    n
+    count_writes dev (fun () -> Fs.sync_exn ~mode:`Checkpoint fs)
   in
   check Alcotest.bool "the commit journals tens of frames" true (total >= 40);
   let pre_n = ref 0 and post_n = ref 0 in
   for i = 0 to total - 1 do
     let dev, fs, pre, post = build_drain_scenario () in
     Device.arm_crash dev ~after_writes:i ?torn_bytes ();
-    (match Fs.sync fs with
-    | Ok () -> Alcotest.failf "crash point %d/%d: barrier claimed durability" i total
+    (match Fs.sync ~mode:`Checkpoint fs with
+    | Ok () -> Alcotest.failf "crash point %d/%d: checkpoint claimed durability" i total
     | Error (Fs.Io _) -> ()
     | Error e ->
         Alcotest.failf "crash point %d/%d: unexpected error %s" i total
           (Fs.error_message e));
-    Fs.stop_pipeline fs;
     let fs2 = reopen (snapshot dev) in
     let state = classify_drain fs2 ~pre ~post in
     (match state with `Pre -> incr pre_n | `Post -> incr post_n);
@@ -608,6 +602,202 @@ let sweep_drain_commit ?torn_bytes () =
 let test_drain_commit_sweep () =
   sweep_drain_commit ();
   sweep_drain_commit ~torn_bytes:22 ()
+
+(* --- crash sweeps over seals without a reindex --------------------------------
+
+   A mutation's mark is a key in the full-text tree, sealed with the
+   mutation; the index catches up later. Two seals carry marks without
+   a reindex, or a reindex without its mutations: a barrier's group
+   commit (overwrites and their marks), and the pipeline daemon's drain
+   step (one chunk's index pages and the removal of its marks). Crash at
+   every write of each, dropped and torn. Recovery lands pre or post,
+   re-recovery lands in the same state, the recovered marks are exactly
+   the objects the recovered index has not caught up with, and after
+   [Fs.drain_index] the full-text bindings (marks aside) equal a fresh
+   index of the recovered bytes. *)
+
+let marked fs =
+  List.sort Oid.compare
+    (Hfad_fulltext.Fulltext.marked
+       (Hfad_index.Index_store.fulltext (Fs.index_of_shard fs 0)))
+
+let index_bindings fs =
+  Btree.to_list (Osd.named_tree (Fs.osd_of_shard fs 0) "fulltext")
+  |> List.filter (fun (k, _) -> k.[0] <> 'X')
+
+(* The bindings a fresh index of [docs] holds. *)
+let fresh_bindings docs =
+  let dev = Device.create ~block_size:1024 ~blocks:8192 () in
+  let pager = Pager.create ~cache_pages:256 dev in
+  let buddy = Buddy.create ~first_block:0 ~blocks:8192 () in
+  let alloc =
+    {
+      Btree.alloc_page = (fun () -> Buddy.alloc buddy 1);
+      Btree.free_page = (fun p -> Buddy.free buddy p);
+    }
+  in
+  let tree = Btree.create pager alloc ~root:(Buddy.alloc buddy 1) in
+  Hfad_fulltext.Fulltext.index_batch (Hfad_fulltext.Fulltext.create tree)
+    (List.map (fun (oid, text) -> (oid, Some text)) docs);
+  Btree.to_list tree
+
+(* A recovered image, drained: its index is a fresh index of its bytes. *)
+let check_catches_up label fs =
+  Fs.drain_index fs;
+  check Alcotest.int (label ^ ": nothing left marked") 0 (Fs.index_backlog fs);
+  check (Alcotest.list oid_t) (label ^ ": no mark key left") [] (marked fs);
+  let docs = List.map (fun oid -> (oid, Fs.read_all fs oid)) (Fs.objects fs) in
+  if index_bindings fs <> fresh_bindings docs then
+    Alcotest.failf "%s: the drained index differs from a fresh index" label;
+  Fs.verify fs
+
+let seal_config =
+  Fs.Config.v ~index_mode:Fs.Lazy ~journal_pages:256 ~batch_max_pages:1_000_000
+    ~batch_max_age:3600.0 ()
+
+(* Sweep [build]'s seal, run by [seal] (which must report the crash as
+   an I/O error); [classify] names the recovered state and checks its
+   marks. *)
+let sweep_seal ~name ~build ~seal ~classify ?torn_bytes () =
+  let reopen dev = Fs.open_existing_exn ~config:(Fs.Config.v ~index_mode:Fs.Lazy ()) dev in
+  let total =
+    let dev, fs, _ = build () in
+    count_writes dev (fun () -> ignore (seal fs))
+  in
+  check Alcotest.bool (name ^ " writes") true (total > 0);
+  let pre_n = ref 0 and post_n = ref 0 in
+  for i = 0 to total - 1 do
+    let dev, fs, expect = build () in
+    Device.arm_crash dev ~after_writes:i ?torn_bytes ();
+    (match seal fs with
+    | Error (Fs.Io _) -> ()
+    | Ok () -> Alcotest.failf "%s crash point %d/%d: claimed durability" name i total
+    | Error e ->
+        Alcotest.failf "%s crash point %d/%d: unexpected error %s" name i total
+          (Fs.error_message e));
+    let fs2 = reopen (snapshot dev) in
+    let state = classify fs2 expect in
+    (match state with `Pre -> incr pre_n | `Post -> incr post_n);
+    let fs3 = reopen (snapshot (Fs.device fs2)) in
+    if classify fs3 expect <> state then
+      Alcotest.failf "%s crash point %d/%d: re-recovery changed the state" name i total;
+    check_catches_up (Printf.sprintf "%s crash point %d/%d" name i total) fs3
+  done;
+  check Alcotest.bool (name ^ ": some crashes land pre") true (!pre_n > 0);
+  check Alcotest.bool (name ^ ": some crashes land post") true (!post_n > 0);
+  Printf.printf "%s sweep (%s): %d crash points, %d pre / %d post\n%!" name
+    (match torn_bytes with
+    | None -> "writes dropped"
+    | Some k -> Printf.sprintf "torn after %d bytes" k)
+    total !pre_n !post_n
+
+(* (i) A barrier commit sealing three overwrites and their marks, with
+   nothing drained: pre, the old bytes and no mark; post, the new bytes
+   and exactly the three marks. *)
+let overwrite_text i = Printf.sprintf "rewritten ledger %s entry%d" drain_places.(i mod 6) i
+
+let build_overwrites () =
+  let dev = Device.create ~block_size:512 ~blocks:2048 () in
+  let fs = Fs.format ~config:seal_config dev in
+  let oids = List.init 6 (fun i -> Fs.create_exn fs ~content:(drain_text i)) in
+  Fs.sync_exn ~mode:`Checkpoint fs;
+  Fs.start_pipeline fs;
+  let rewritten = List.filteri (fun i _ -> i mod 2 = 1) oids in
+  List.iteri
+    (fun i oid ->
+      Fs.truncate_exn fs oid 0;
+      Fs.write_exn fs oid ~off:0 (overwrite_text i))
+    rewritten;
+  check Alcotest.int "three marked" 3 (Fs.index_backlog fs);
+  (dev, fs, rewritten)
+
+let classify_overwrites fs rewritten =
+  let holds text = List.mapi (fun i oid -> Fs.read_all fs oid = text i) rewritten in
+  let state, marks =
+    if List.for_all Fun.id (holds overwrite_text) then (`Post, rewritten)
+    else if List.for_all Fun.id (holds (fun i -> drain_text ((2 * i) + 1))) then
+      (`Pre, [])
+    else Alcotest.fail "the overwrites recovered neither all old nor all new"
+  in
+  check (Alcotest.list oid_t) "the recovered marks" marks (marked fs);
+  check Alcotest.int "the recovered backlog" (List.length marks) (Fs.index_backlog fs);
+  Fs.verify fs;
+  state
+
+let seal_barrier fs =
+  let r = Fs.sync fs in
+  Fs.stop_pipeline fs;
+  r
+
+let test_barrier_seal_sweep () =
+  List.iter
+    (fun torn_bytes ->
+      sweep_seal ~name:"barrier-seal" ~build:build_overwrites ~seal:seal_barrier
+        ~classify:classify_overwrites ?torn_bytes ())
+    [ None; Some 22 ]
+
+(* (ii) The daemon's drain step: 70 marked creates are sealed without
+   the pipeline; then, with it running, one name (no mark) makes the
+   barrier's commit, after which the daemon drains one chunk (the 64
+   lowest OIDs) and seals it. Pre, all 70 marked and none indexed;
+   post, the 6 highest marked and the chunk indexed. A crash in the
+   barrier's own commit lands pre. *)
+let step_docs = Hfad_index.Index_store.drain_chunk + 6
+
+let build_step () =
+  let dev = Device.create ~block_size:1024 ~blocks:4096 () in
+  let fs = Fs.format ~config:seal_config dev in
+  let oids =
+    List.init step_docs (fun i ->
+        Fs.create_exn fs ~content:(Printf.sprintf "%s note%d" drain_places.(i mod 6) i))
+  in
+  Fs.sync_exn fs;
+  Fs.start_pipeline fs;
+  Fs.name_exn fs (List.hd oids) Tag.Udef "step";
+  (dev, fs, oids)
+
+(* The barrier's commit, then the step it lets run: wait until the
+   step's drain has applied (the backlog falls), then stop the daemon,
+   which joins the step's seal. A crash in that seal leaves the device
+   dead. *)
+let seal_step fs =
+  let barrier = Fs.sync fs in
+  let deadline = Unix.gettimeofday () +. 10. in
+  while
+    Result.is_ok barrier
+    && Fs.index_backlog fs >= Hfad_index.Index_store.drain_chunk
+    && Unix.gettimeofday () < deadline
+  do
+    Thread.delay 0.001
+  done;
+  Fs.stop_pipeline fs;
+  match barrier with
+  | Error _ as e -> e
+  | Ok () when Device.crashed (Fs.device fs) -> Error (Fs.Io "crashed in the drain step")
+  | Ok () ->
+      check Alcotest.int "the step drained one chunk" (step_docs - Hfad_index.Index_store.drain_chunk)
+        (Fs.index_backlog fs);
+      Ok ()
+
+let classify_step fs oids =
+  let chunk = List.filteri (fun i _ -> i < Hfad_index.Index_store.drain_chunk) oids in
+  let rest = List.filteri (fun i _ -> i >= Hfad_index.Index_store.drain_chunk) oids in
+  let marks = marked fs in
+  let state =
+    if marks = oids then `Pre
+    else if marks = rest then `Post
+    else Alcotest.failf "%d recovered marks: neither all %d nor the last %d"
+        (List.length marks) (List.length oids) (List.length rest)
+  in
+  check Alcotest.int "the recovered backlog" (List.length marks) (Fs.index_backlog fs);
+  let ft = Hfad_index.Index_store.fulltext (Fs.index_of_shard fs 0) in
+  List.iter
+    (fun oid ->
+      check Alcotest.bool "the chunk indexed iff post" (state = `Post)
+        (Hfad_fulltext.Fulltext.is_indexed ft oid))
+    chunk;
+  Fs.verify fs;
+  state
 
 (* --- sharded crash sweep --------------------------------------------------- *)
 
@@ -815,6 +1005,13 @@ let classify_txn i total fs =
   Fs.verify fs;
   state
 
+let test_step_seal_sweep () =
+  List.iter
+    (fun torn_bytes ->
+      sweep_seal ~name:"drain-step" ~build:build_step ~seal:seal_step
+        ~classify:classify_step ?torn_bytes ())
+    [ None; Some 22 ]
+
 let sweep_txn ?torn_bytes () =
   let total =
     let dev, fs = build_txn_scenario () in
@@ -885,6 +1082,7 @@ let suite =
       test_barrier_acked_never_lost;
     Alcotest.test_case "drain-commit sweep: dropped and torn writes" `Quick
       test_drain_commit_sweep;
+
     Alcotest.test_case "sharded sweep: one shard crashes, others clean" `Quick
       test_sharded_sweep_dropped;
     Alcotest.test_case "sharded sweep: torn journal isolated to its shard"
@@ -895,4 +1093,8 @@ let suite =
       test_txn_sweep_dropped;
     Alcotest.test_case "txn crash sweep: torn writes" `Quick
       test_txn_sweep_torn;
+    Alcotest.test_case "barrier-seal sweep: overwrites and marks, no reindex"
+      `Quick test_barrier_seal_sweep;
+    Alcotest.test_case "drain-step sweep: the daemon's chunk and its seal"
+      `Quick test_step_seal_sweep;
   ]

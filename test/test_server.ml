@@ -161,6 +161,7 @@ let gen_stats =
     int_range 0 100_000 >>= fun dirty_pages ->
     int_range 0 100_000 >>= fun resident_pages ->
     int_range 0 100_000 >>= fun cache_pages ->
+    int_range 0 100_000 >>= fun backlog ->
     return
       {
         Wire.Stats.shard;
@@ -169,6 +170,7 @@ let gen_stats =
         dirty_pages;
         resident_pages;
         cache_pages;
+        backlog;
       }
   in
   big >>= fun uptime_us ->
@@ -864,6 +866,134 @@ let test_read_fault_is_typed () =
           check Alcotest.string "GET once the fault clears" "faulty reads ahead"
             (ok (Client.get c ~key:"f"))))
 
+(* --- write pressure -------------------------------------------------- *)
+
+(* [words] five-letter tokens that no other value shares: every PUT's
+   reindex adds postings of its own. *)
+let distinct_token n =
+  let digits = "0123456789abcdefghijklmnopqrstuvwxyz" in
+  let place = [| 0; 46656; 1296; 36; 1 |] in
+  String.init 5 (fun i -> if i = 0 then 'q' else digits.[n / place.(i) mod 36])
+
+let distinct_text ~key ~words =
+  String.concat " " (List.init words (fun i -> distinct_token ((key * words) + i)))
+
+(* [rounds] rounds in which each of [conns] connections pipelines
+   [burst] PUTs (all sent before any reply is read). Every PUT must be
+   acked with an OID; returns each key's (name, value, oid). *)
+let put_bursts server ~conns ~rounds ~burst ~words =
+  let clients = List.init conns (fun _ -> Client.connect ~port:(Server.port server) ()) in
+  Fun.protect
+    ~finally:(fun () -> List.iter Client.close clients)
+    (fun () ->
+      List.concat_map
+        (fun r ->
+          let sent =
+            List.mapi
+              (fun c conn ->
+                List.init burst (fun j ->
+                    let key = (((r * conns) + c) * burst) + j in
+                    let name = Printf.sprintf "wp%03d" key in
+                    let value = distinct_text ~key ~words in
+                    let id = Client.send conn (Wire.Put { key = name; data = value }) in
+                    (conn, id, name, value)))
+              clients
+          in
+          List.concat_map
+            (List.map (fun (conn, id, name, value) ->
+                 match Client.recv conn with
+                 | rid, Wire.Ok_oid oid when rid = id -> (name, value, oid)
+                 | _, Wire.Err msg -> Alcotest.failf "PUT %s refused: %s" name msg
+                 | _, _ -> Alcotest.failf "PUT %s: unexpected reply" name))
+            sent)
+        (List.init rounds Fun.id))
+
+(* Stop the server, save the image as the device holds it, close, and
+   reopen the saved image: it must pass [Fs.verify]. *)
+let reopen_saved server fs dev =
+  Server.stop server;
+  let path = Filename.temp_file "hfad_pressure" ".img" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Device.save dev path;
+      Fs.close fs;
+      let fs2 = Fs.open_existing_exn (Device.load path) in
+      Fs.verify fs2;
+      fs2)
+
+(* 4 connections x 4 rounds x 8 pipelined PUTs of ~39 KB of distinct
+   tokens on a journaled server. Before the index drain left the group
+   commit, each commit drained its batch in line and the NO-STEAL cache
+   filled: most PUTs answered "cache full". Now every PUT is acked,
+   every GET and STAT answers, each SEARCH (which drains first, in
+   bounded chunks) finds its key or answers a typed error, a later PUT
+   is acked, and the saved image reopens clean. *)
+let test_large_puts_under_pressure () =
+  Watchdog.within ~seconds:120.0 "large distinct PUTs under write pressure" @@ fun () ->
+  let dev = Device.create ~block_size:4096 ~blocks:65536 () in
+  let fs = Fs.format ~config:(Fs.Config.v ~journal_pages:2048 ()) dev in
+  let server = Server.start fs in
+  let acked = put_bursts server ~conns:4 ~rounds:4 ~burst:8 ~words:6500 in
+  check Alcotest.int "every PUT acked" 128 (List.length acked);
+  with_client server (fun c ->
+      List.iteri
+        (fun key (name, value, oid) ->
+          check Alcotest.bool ("GET " ^ name) true (ok (Client.get c ~key:name) = value);
+          check Alcotest.int64 ("STAT " ^ name) oid (fst (ok (Client.stat c ~key:name)));
+          match Client.search c (distinct_token ((key * 6500) + 7)) with
+          | Ok hits ->
+              if not (List.exists (fun (o, _) -> o = oid) hits) then
+                Alcotest.failf "SEARCH for %s: a hit list without its key" name
+          | Error (Client.Remote _) -> ()
+          | Error e -> Alcotest.failf "SEARCH for %s: %a" name Client.pp_error e)
+        acked;
+      ignore (ok (Client.put c ~key:"after" (distinct_text ~key:128 ~words:6500))));
+  Fs.close (reopen_saved server fs dev)
+
+(* A SEARCH-less burst of ~3 KB distinct PUTs on a 192-frame cache:
+   the backlog outgrows a drain chunk, so the pipeline daemon drains in
+   the background, and each chunk must fit a dirty budget of 96 pages.
+   Every PUT is acked, every GET answers, and the saved image reopens
+   clean and indexes the rest. *)
+let test_searchless_burst_small_cache () =
+  Watchdog.within ~seconds:60.0 "a SEARCH-less burst on a small cache" @@ fun () ->
+  let dev = Device.create ~block_size:4096 ~blocks:8192 () in
+  let fs = Fs.format ~config:(Fs.Config.v ~cache_pages:192 ~journal_pages:2048 ()) dev in
+  let server = Server.start fs in
+  let acked = put_bursts server ~conns:4 ~rounds:8 ~burst:4 ~words:500 in
+  check Alcotest.int "every PUT acked" 128 (List.length acked);
+  with_client server (fun c ->
+      List.iter
+        (fun (name, value, _) ->
+          check Alcotest.bool ("GET " ^ name) true (ok (Client.get c ~key:name) = value))
+        acked);
+  let fs2 = reopen_saved server fs dev in
+  Fs.drain_index fs2;
+  Fs.verify fs2;
+  check Alcotest.int "all indexed" 128
+    (Hfad_fulltext.Fulltext.doc_count (Hfad_index.Index_store.fulltext (Fs.index_of_shard fs2 0)));
+  Fs.close fs2
+
+(* STATS carries each shard's index backlog: PUTs raise it, and a
+   SEARCH, which drains first, brings it back to 0. *)
+let test_stats_backlog () =
+  with_server (fun _fs server ->
+      with_client server (fun c ->
+          let backlog () =
+            List.fold_left
+              (fun acc (sh : Wire.Stats.shard_stat) -> acc + sh.backlog)
+              0 (ok (Client.stats c)).shards
+          in
+          check Alcotest.int "nothing marked yet" 0 (backlog ());
+          List.iter
+            (fun k -> ignore (ok (Client.put c ~key:k ("backlog text " ^ k))))
+            [ "b1"; "b2"; "b3" ];
+          check Alcotest.int "three PUTs marked" 3 (backlog ());
+          check Alcotest.int "a SEARCH sees all three" 3
+            (List.length (ok (Client.search c "backlog text")));
+          check Alcotest.int "drained by the SEARCH" 0 (backlog ())))
+
 let test_prefix_pool_audit () =
   let live = Prefix_pool.live "server" in
   let size = Registry.size Registry.global in
@@ -912,4 +1042,9 @@ let suite =
       test_refused_tag_does_not_wedge;
     Alcotest.test_case "reads under a device fault answer a typed error" `Quick
       test_read_fault_is_typed;
+    Alcotest.test_case "large distinct PUTs under write pressure" `Quick
+      test_large_puts_under_pressure;
+    Alcotest.test_case "SEARCH-less burst on a small cache" `Quick
+      test_searchless_burst_small_cache;
+    Alcotest.test_case "STATS reports the index backlog" `Quick test_stats_backlog;
   ]
